@@ -13,7 +13,6 @@ from .decision import (
     wtp_to_micromorts,
 )
 from .engine import (
-    MassAssignment,
     barnett_combine,
     cf_parallel_combine,
     evoking_strength,

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import IO, Mapping
 
 from .errors import (
-    FileFormatError,
     LinearityRangeExceeded,
     NonpositiveValueOfLife,
     UnmappedDisease,
     ValidationError,
 )
-from .kb import BeliefDistribution, KnowledgeBase, _number, _parse_json, _require, _string
+from .kb import BeliefDistribution, KnowledgeBase, _array, _number, _object, _parse_json, _require, _string
 
 # The money/risk trade is linear only for small death probabilities.
 LINEAR_RISK_LIMIT = 0.001
@@ -77,11 +76,6 @@ class UtilityMatrix:
             return self.expansion[disease_id]
         except KeyError:
             raise UnmappedDisease(f"disease '{disease_id}' has no equivalence class") from None
-
-    def disutility(self, true_disease: str, diagnosed_disease: str) -> float:
-        return self.class_disutility[
-            (self.disease_class(true_disease), self.disease_class(diagnosed_disease))
-        ]
 
 
 @dataclass(frozen=True)
@@ -208,24 +202,18 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
 def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatrix:
     """Parse a utility file; raises on missing entries or negative values."""
     doc = _parse_json(source, "utilities")
-    if not isinstance(doc, dict):
-        raise FileFormatError("utilities: top level must be a JSON object")
 
-    raw_classes = _require(doc, "classes", "utilities")
-    if not isinstance(raw_classes, list):
-        raise FileFormatError("utilities.classes: expected an array")
+    raw_classes = _array(_require(doc, "classes", "utilities"), "utilities.classes")
     classes = tuple(_string(c, f"utilities.classes[{i}]") for i, c in enumerate(raw_classes))
 
-    raw_expansion = _require(doc, "expansion", "utilities")
-    if not isinstance(raw_expansion, dict):
-        raise FileFormatError("utilities.expansion: expected an object")
+    raw_expansion = _object(_require(doc, "expansion", "utilities"), "utilities.expansion")
     expansion = {
         _string(k, "utilities.expansion key"): _string(v, f"utilities.expansion['{k}']")
         for k, v in raw_expansion.items()
     }
 
     entries: dict[tuple[str, str], float] = {}
-    for i, entry in enumerate(_require(doc, "disutility", "utilities")):
+    for i, entry in enumerate(_array(_require(doc, "disutility", "utilities"), "utilities.disutility")):
         where = f"utilities.disutility[{i}]"
         true_cls = _string(_require(entry, "true", where), f"{where}.true")
         diag_cls = _string(_require(entry, "diagnosed", where), f"{where}.diagnosed")

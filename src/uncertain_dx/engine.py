@@ -15,15 +15,16 @@ probabilities p(feature=value | disease).
 
 Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
-once, at normalization.  All functions are pure and safe to call
-concurrently on shared immutable inputs.
+once, at normalization.  Each method checks its observations and reads
+every p(obs | d) exactly once, so a case costs O(D*O) for D diseases and
+O observations.  All functions are pure and safe to call concurrently on
+shared immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
@@ -45,7 +46,6 @@ _NEGATIVE_NUMERATOR_TOL = -1e-12
 
 __all__ = [
     "BeliefDistribution",
-    "MassAssignment",
     "simple_bayes",
     "marginal",
     "negation_conditional",
@@ -57,36 +57,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MassAssignment:
-    """Per-disease mass on the singleton {disease}; the remainder sits on
-    the disease's whole two-element frame."""
+def _rows(kb: KnowledgeBase, observations: Sequence[Observation]) -> list[list[float]]:
+    """Check the observations, then read p(obs | d) once per (obs, disease).
 
-    singleton_mass: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        for d, m in self.singleton_mass.items():
-            if not 0.0 <= m <= 1.0:
-                raise ValueError(f"mass for '{d}' outside [0, 1]: {m!r}")
-
-
-def _check_observation(kb: KnowledgeBase, obs: Observation) -> None:
-    feature = kb.feature_index.get(obs.feature)
-    if feature is None:
-        raise UnknownObservation(f"unknown feature '{obs.feature}'")
-    if obs.value not in feature.values:
-        raise UnknownObservation(f"unknown value '{obs.value}' for feature '{obs.feature}'")
-
-
-def _check_observations(kb: KnowledgeBase, observations: Sequence[Observation]) -> None:
+    Returns one row per observation, in ``kb.diseases`` order.  Every
+    calculus and view reads the table through here and nowhere else.
+    """
     seen: set[str] = set()
     for obs in observations:
-        _check_observation(kb, obs)
+        feature = kb.feature_index.get(obs.feature)
+        if feature is None:
+            raise UnknownObservation(f"unknown feature '{obs.feature}'")
+        if obs.value not in feature.values:
+            raise UnknownObservation(f"unknown value '{obs.value}' for feature '{obs.feature}'")
         if obs.feature in seen:
-            raise ConflictingObservations(
-                f"multiple observations for feature '{obs.feature}'"
-            )
+            raise ConflictingObservations(f"multiple observations for feature '{obs.feature}'")
         seen.add(obs.feature)
+    entries = kb.conditionals.entries
+    return [
+        [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases] for obs in observations
+    ]
+
+
+def _marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
+    return min(math.fsum(d.prior * p for d, p in zip(kb.diseases, row)), 1.0)
+
+
+def _negation(p_obs: float, p: float, prior: float, obs: Observation, disease_id: str) -> float:
+    numerator = p_obs - p * prior
+    if numerator < _NEGATIVE_NUMERATOR_TOL:
+        raise InconsistentProbabilities(
+            f"negation conditional numerator {numerator!r} for ('{obs.feature}', '{obs.value}', '{disease_id}')"
+        )
+    return min(max(numerator, 0.0) / (1.0 - prior), 1.0)
+
+
+def _evoking(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> list[float]:
+    weighted = [d.prior * p for d, p in zip(kb.diseases, row)]
+    z = math.fsum(weighted)
+    if z <= 0.0:
+        raise ZeroMarginal(
+            f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability"
+        )
+    return [w / z for w in weighted]
 
 
 def _log(p: float) -> float:
@@ -108,13 +121,11 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
     the priors.  The result is a genuine probability distribution, so
     pre_norm_sum is 1 by construction.
     """
-    _check_observations(kb, observations)
+    rows = _rows(kb, observations)
     log_mass: dict[str, float] = {}
-    for d in kb.diseases:
+    for i, d in enumerate(kb.diseases):
         terms = [_log(d.prior)]
-        terms.extend(
-            _log(kb.conditionals.prob(obs.feature, obs.value, d.id)) for obs in observations
-        )
+        terms.extend(_log(row[i]) for row in rows)
         # fsum is order-exact, so permuting the observations cannot move
         # the result even in the last bit.
         log_mass[d.id] = math.fsum(terms)
@@ -133,11 +144,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
     """p(obs) = sum over diseases of p(obs | d) * p(d)."""
-    _check_observation(kb, obs)
-    total = math.fsum(
-        d.prior * kb.conditionals.prob(obs.feature, obs.value, d.id) for d in kb.diseases
-    )
-    return min(total, 1.0)
+    return _marginal(kb, _rows(kb, [obs])[0])
 
 
 def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
@@ -147,20 +154,14 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
     mathematically nonnegative; tiny negatives from rounding are clamped
     to zero, anything larger is reported as an inconsistency.
     """
-    _check_observation(kb, obs)
+    (row,) = _rows(kb, [obs])
     disease = kb.disease_index.get(disease_id)
     if disease is None:
         raise UnknownDisease(f"unknown disease '{disease_id}'")
     if disease.prior >= 1.0 - _PRIOR_ONE_TOL:
         raise DegeneratePrior(f"disease '{disease_id}' has prior 1; negation is empty")
-
-    numerator = marginal(kb, obs) - kb.conditionals.prob(obs.feature, obs.value, disease_id) * disease.prior
-    if numerator < _NEGATIVE_NUMERATOR_TOL:
-        raise InconsistentProbabilities(
-            f"negation conditional numerator {numerator!r} for ('{obs.feature}', '{obs.value}', '{disease_id}')"
-        )
-    numerator = max(numerator, 0.0)
-    return min(numerator / (1.0 - disease.prior), 1.0)
+    p = row[kb.diseases.index(disease)]
+    return _negation(_marginal(kb, row), p, disease.prior, obs, disease_id)
 
 
 def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
@@ -178,14 +179,12 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     1; if several diseases are infinite together they share the
     renormalized mass equally and every finite disease gets 0.
     """
-    _check_observations(kb, observations)
+    rows = _rows(kb, observations)
+    marginals = [_marginal(kb, row) for row in rows]
     pre_norm: dict[str, float] = {}
     infinite: list[str] = []
-    for d in kb.diseases:
-        likelihoods = [
-            kb.conditionals.prob(obs.feature, obs.value, d.id) for obs in observations
-        ]
-        if any(p == 0.0 for p in likelihoods):
+    for i, d in enumerate(kb.diseases):
+        if any(row[i] == 0.0 for row in rows):
             pre_norm[d.id] = 0.0
             continue
         if d.prior >= 1.0 - _PRIOR_ONE_TOL:
@@ -195,12 +194,12 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
             continue
         terms = [math.log(d.prior) - math.log1p(-d.prior)]
         ruled_in = False
-        for obs, p in zip(observations, likelihoods):
-            denom = negation_conditional(kb, obs, d.id)
+        for obs, row, p_obs in zip(observations, rows, marginals):
+            denom = _negation(p_obs, row[i], d.prior, obs, d.id)
             if denom == 0.0:
                 ruled_in = True
                 break
-            terms.append(math.log(p) - math.log(denom))
+            terms.append(math.log(row[i]) - math.log(denom))
         if ruled_in:
             pre_norm[d.id] = 1.0
             infinite.append(d.id)
@@ -221,23 +220,15 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     )
 
 
-def evoking_strength(kb: KnowledgeBase, obs: Observation) -> MassAssignment:
-    """Single-observation posterior for each disease, as singleton masses.
+def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
+    """Single-observation posterior for each disease, its singleton mass.
 
     ES(d, obs) = p(d) p(obs|d) / sum_j p(d_j) p(obs|d_j), which is
     Bayes' theorem over the exhaustive disease set for one observation.
+    The rest of each disease's mass sits on its whole two-element frame.
     """
-    _check_observation(kb, obs)
-    weighted = {
-        d.id: d.prior * kb.conditionals.prob(obs.feature, obs.value, d.id)
-        for d in kb.diseases
-    }
-    z = math.fsum(weighted.values())
-    if z <= 0.0:
-        raise ZeroMarginal(
-            f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability"
-        )
-    return MassAssignment(singleton_mass={d: w / z for d, w in weighted.items()})
+    (row,) = _rows(kb, [obs])
+    return {d.id: m for d, m in zip(kb.diseases, _evoking(kb, obs, row))}
 
 
 def cf_parallel_combine(x: float, y: float) -> float:
@@ -276,11 +267,7 @@ def naive_dempster_shafer(
     """
     if not observations:
         raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
-    _check_observations(kb, observations)
-
-    per_obs = [evoking_strength(kb, obs) for obs in observations]
-    raw = {
-        d.id: barnett_combine(mass.singleton_mass[d.id] for mass in per_obs)
-        for d in kb.diseases
-    }
+    rows = _rows(kb, observations)
+    strengths = [_evoking(kb, obs, row) for obs, row in zip(observations, rows)]
+    raw = {d.id: barnett_combine(es[i] for es in strengths) for i, d in enumerate(kb.diseases)}
     return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")

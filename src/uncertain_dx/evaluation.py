@@ -320,10 +320,12 @@ def permutation_test(
     return (1 + hits) / (1 + iterations)
 
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
+def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
+    """(1-based midranks, tie term sum of t^3 - t over tie groups)."""
     n = len(pooled)
     order = sorted(range(n), key=lambda i: pooled[i])
     ranks = [0.0] * n
+    tie_sum = 0.0
     i = 0
     while i < n:
         j = i
@@ -332,8 +334,10 @@ def _midranks(pooled: Sequence[float]) -> list[float]:
         avg = (i + j + 2) / 2.0  # 1-based average rank of the tie group
         for k in range(i, j + 1):
             ranks[order[k]] = avg
+        t = j - i + 1
+        tie_sum += t**3 - t
         i = j + 1
-    return ranks
+    return ranks, tie_sum
 
 
 def _rank_sum_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -342,20 +346,10 @@ def _rank_sum_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
         raise ValueError("both samples must be nonempty")
     pooled = list(a) + list(b)
     n, n_a, n_b = len(pooled), len(a), len(b)
-    ranks = _midranks(pooled)
+    ranks, tie_sum = _midranks(pooled)
     w = math.fsum(ranks[:n_a])
 
     mean = n_a * (n + 1) / 2.0
-    tie_sum = 0.0
-    i = 0
-    ordered = sorted(pooled)
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1] == ordered[i]:
-            j += 1
-        t = j - i + 1
-        tie_sum += t**3 - t
-        i = j + 1
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
     if variance <= 0.0:
         return w, 0.5  # all observations tied; the statistic sits at its mean

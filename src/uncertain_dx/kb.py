@@ -260,10 +260,24 @@ def _parse_json(source: bytes | str | os.PathLike | IO[bytes], what: str):
         raise FileFormatError(
             f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+        raise FileFormatError(f"{what}: {exc}") from exc
 
 
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FileFormatError(f"{where}: expected an object")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise FileFormatError(f"{where}: expected an array")
+    return value
+
+
+def _require(obj, key: str, where: str):
+    if key not in _object(obj, where):
         raise FileFormatError(f"{where}: missing key '{key}'")
     return obj[key]
 
@@ -271,7 +285,13 @@ def _require(obj: Mapping, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FileFormatError(f"{where}: number too large for a float") from None
+    if not math.isfinite(number):
+        raise FileFormatError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _string(value, where: str) -> str:
@@ -288,11 +308,9 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
     and ValidationError carrying all violations on semantic errors.
     """
     doc = _parse_json(source, "knowledge base")
-    if not isinstance(doc, dict):
-        raise FileFormatError("knowledge base: top level must be a JSON object")
 
     diseases = []
-    for i, entry in enumerate(_require(doc, "diseases", "knowledge base")):
+    for i, entry in enumerate(_array(_require(doc, "diseases", "knowledge base"), "diseases")):
         where = f"diseases[{i}]"
         diseases.append(
             Disease(
@@ -304,11 +322,9 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
         )
 
     features = []
-    for i, entry in enumerate(_require(doc, "features", "knowledge base")):
+    for i, entry in enumerate(_array(_require(doc, "features", "knowledge base"), "features")):
         where = f"features[{i}]"
-        values = _require(entry, "values", where)
-        if not isinstance(values, list):
-            raise FileFormatError(f"{where}.values: expected an array")
+        values = _array(_require(entry, "values", where), f"{where}.values")
         features.append(
             Feature(
                 id=_string(_require(entry, "id", where), f"{where}.id"),
@@ -318,13 +334,11 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
         )
 
     entries: dict[tuple[str, str, str], float] = {}
-    for i, entry in enumerate(_require(doc, "conditionals", "knowledge base")):
+    for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
         where = f"conditionals[{i}]"
         feat = _string(_require(entry, "feature", where), f"{where}.feature")
         dis = _string(_require(entry, "disease", where), f"{where}.disease")
-        probs = _require(entry, "probs", where)
-        if not isinstance(probs, dict):
-            raise FileFormatError(f"{where}.probs: expected an object")
+        probs = _object(_require(entry, "probs", where), f"{where}.probs")
         for value, p in probs.items():
             entries[(feat, value, dis)] = _number(p, f"{where}.probs['{value}']")
 
@@ -386,9 +400,7 @@ def _load_gold(raw, kb: KnowledgeBase, where: str, violations: list[str]) -> Bel
 
 def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase) -> list[CaseRecord]:
     """Parse a case file and validate every case against the knowledge base."""
-    doc = _parse_json(source, "cases")
-    if not isinstance(doc, list):
-        raise FileFormatError("cases: top level must be a JSON array")
+    doc = _array(_parse_json(source, "cases"), "cases")
 
     cases: list[CaseRecord] = []
     violations: list[str] = []
@@ -403,7 +415,7 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
 
         observations: list[Observation] = []
         seen_features: set[str] = set()
-        for j, obs in enumerate(_require(entry, "observations", where)):
+        for j, obs in enumerate(_array(_require(entry, "observations", where), f"{where}.observations")):
             ow = f"{where}.observations[{j}]"
             feat = _string(_require(obs, "feature", ow), f"{ow}.feature")
             value = _string(_require(obs, "value", ow), f"{ow}.value")
@@ -435,11 +447,8 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
 
         ratings = None
         if entry.get("expert_ratings") is not None:
-            raw_ratings = entry["expert_ratings"]
-            if not isinstance(raw_ratings, dict):
-                raise FileFormatError(f"{where}.expert_ratings: expected an object")
             ratings = {}
-            for method, r in raw_ratings.items():
+            for method, r in _object(entry["expert_ratings"], f"{where}.expert_ratings").items():
                 value = _number(r, f"{where}.expert_ratings['{method}']")
                 if not 0.0 <= value <= 10.0:
                     violations.append(f"{where}: rating for '{method}' outside [0, 10]")

@@ -49,6 +49,38 @@ class TestValidateCommand:
         assert "priors must sum to 1" in capsys.readouterr().out
 
 
+def _set_first_prior(value):
+    def edit(doc):
+        doc["diseases"][0]["prior"] = value
+    return edit
+
+
+MALFORMED = {
+    "nan-prior": (KB, _set_first_prior(float("nan"))),
+    "overflowing-prior": (KB, _set_first_prior(10**400)),
+    # Placeholder for an integer literal longer than json.dumps will write.
+    "prior-beyond-int-digit-limit": (KB, _set_first_prior("DIGITS")),
+    "disease-not-an-object": (KB, lambda doc: doc.update(diseases=["id"])),
+    "diseases-not-an-array": (KB, lambda doc: doc.update(diseases=5)),
+    "observations-not-an-array": (CASES, lambda doc: doc[0].update(observations=5)),
+    "disutility-entry-not-an-object": (UTILITIES, lambda doc: doc.update(disutility=[1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_exits_2(name, tmp_path, capsys):
+    """Mistyped containers and non-finite or overflowing numbers are
+    input errors at load time, never a traceback or a false "OK"."""
+    target, edit = MALFORMED[name]
+    doc = json.loads(open(target).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000))
+    paths = {KB: KB, CASES: CASES, UTILITIES: UTILITIES, target: str(bad)}
+    assert main(["validate", "--kb", paths[KB], "--cases", paths[CASES], "--utilities", paths[UTILITIES]]) == 2
+    assert "FileFormatError" in capsys.readouterr().err
+
+
 class TestInferCommand:
     def test_single_observation_all_methods_agree(self, tmp_path, capsys):
         kb_path, _ = write_probe_kb(tmp_path)

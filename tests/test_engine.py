@@ -8,6 +8,8 @@ rational arithmetic with no shared code path.
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -19,6 +21,8 @@ from support import (
     exact_odds_likelihood,
     exact_simple_bayes,
     kb_with_observations,
+    random_kb,
+    random_observations,
 )
 from uncertain_dx.engine import (
     barnett_combine,
@@ -186,19 +190,19 @@ class TestOddsLikelihood:
 class TestEvokingStrength:
     def test_single_observation_posterior(self, three_hypotheses_one_token):
         kb, observations = three_hypotheses_one_token
-        masses = evoking_strength(kb, observations[0]).singleton_mass
+        masses = evoking_strength(kb, observations[0])
         assert masses["h1"] == pytest.approx(0.5, abs=1e-12)
         assert masses["h2"] == pytest.approx(0.375, abs=1e-12)
         assert masses["h3"] == pytest.approx(0.125, abs=1e-12)
 
     def test_unique_support_takes_all_mass(self):
         kb = two_disease_kb([0.5, 0.5], [0.7, 0.0])
-        masses = evoking_strength(kb, Observation("f1", "v1")).singleton_mass
+        masses = evoking_strength(kb, Observation("f1", "v1"))
         assert masses == {"d0": 1.0, "d1": 0.0}
 
     def test_uninformative_observation_is_uniform(self):
         kb = two_disease_kb([0.5, 0.5], [0.3, 0.3])
-        masses = evoking_strength(kb, Observation("f1", "v1")).singleton_mass
+        masses = evoking_strength(kb, Observation("f1", "v1"))
         assert masses["d0"] == pytest.approx(0.5, abs=1e-15)
         assert masses["d1"] == pytest.approx(0.5, abs=1e-15)
 
@@ -363,3 +367,27 @@ class TestPeakedness:
         assert ol.beliefs["h1"] == pytest.approx(0.5, abs=1e-3)
         assert ol.beliefs["h2"] == pytest.approx(0.5, abs=1e-3)
         assert ol.beliefs["h3"] == pytest.approx(0.0, abs=1e-3)
+
+
+class _CountingEntries(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("method", [simple_bayes, odds_likelihood, naive_dempster_shafer])
+def test_each_likelihood_read_once(method):
+    """Every calculus reads p(obs | d) exactly once per (observation,
+    disease) pair, so a case costs O(D*O) table reads, not O(D^2*O)."""
+    rng = random.Random(3)
+    kb = random_kb(rng, n_diseases=12, n_features=9)
+    entries = _CountingEntries(kb.conditionals.entries)
+    kb = replace(kb, conditionals=ConditionalTable(entries))
+    observations = random_observations(rng, kb, 7)
+    entries.lookups = 0
+    method(kb, observations)
+    assert entries.lookups == 12 * 7
