@@ -2,7 +2,6 @@
 plus a micromort-denominated evaluation workbench."""
 
 from .decision import (
-    Diagnosis,
     MicromortQuote,
     UtilityMatrix,
     expand_utilities,
@@ -25,7 +24,6 @@ from .engine import (
 from .evaluation import (
     CaseWeight,
     EvaluationReport,
-    RatingPair,
     case_weights,
     evaluate_methods,
     expected_disutility,

@@ -39,9 +39,6 @@ from .kb import BeliefDistribution, KnowledgeBase, _array, _number, _object, _pa
 # The money/risk trade is linear only for small death probabilities.
 LINEAR_RISK_LIMIT = 0.001
 
-MAX_BELIEF = "max_belief"
-MEU = "meu"
-
 
 @dataclass(frozen=True)
 class UtilityMatrix:
@@ -79,12 +76,6 @@ class UtilityMatrix:
 
 
 @dataclass(frozen=True)
-class Diagnosis:
-    disease: str
-    rule: str  # MAX_BELIEF or MEU
-
-
-@dataclass(frozen=True)
 class MicromortQuote:
     amount: float
 
@@ -93,8 +84,8 @@ class MicromortQuote:
             raise ValueError(f"micromort amount must be nonnegative, got {self.amount!r}")
 
 
-def max_belief_diagnosis(p: BeliefDistribution) -> Diagnosis:
-    """The disease with the highest belief; ties go to the smallest id.
+def max_belief_diagnosis(p: BeliefDistribution) -> str:
+    """The id of the disease with the highest belief; ties go to the smallest id.
 
     Works for any nonnegative belief vector, probabilistic or not.
     """
@@ -106,7 +97,7 @@ def max_belief_diagnosis(p: BeliefDistribution) -> Diagnosis:
         b = p.beliefs[disease]
         if b > best:
             best, best_id = b, disease
-    return Diagnosis(disease=best_id, rule=MAX_BELIEF)
+    return best_id
 
 
 def expected_class_disutility(
@@ -124,8 +115,8 @@ def expected_class_disutility(
     )
 
 
-def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: KnowledgeBase) -> Diagnosis:
-    """The diagnosis minimizing expected disutility under ``p``.
+def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: KnowledgeBase) -> str:
+    """The id of the disease minimizing expected disutility under ``p``.
 
     Candidates are all diseases in the knowledge base; ties go to the
     smallest disease id, so any disease within the optimal equivalence
@@ -139,7 +130,7 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
             best, best_id = expected, candidate
     if best_id is None:
         raise ValueError("knowledge base has no diseases")
-    return Diagnosis(disease=best_id, rule=MEU)
+    return best_id
 
 
 def expand_utilities(utilities: UtilityMatrix, kb: KnowledgeBase) -> dict[tuple[str, str], float]:

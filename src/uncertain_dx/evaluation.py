@@ -18,16 +18,17 @@ because a method could not produce a distribution for them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import combinations
 from statistics import NormalDist
 from typing import Sequence
 
 from . import engine
 from .decision import (
-    Diagnosis,
     UtilityMatrix,
     expected_class_disutility,
     max_belief_diagnosis,
@@ -43,20 +44,24 @@ from .errors import (
 )
 from .kb import BeliefDistribution, CaseRecord, KnowledgeBase
 
-WEIGHT_SUM_TOL = 1e-9
-
-# Canonical presentation order for methods; 'simple_bayes_meu' applies the
-# expected-utility rule to the simple-Bayes distribution, the rest pick
-# the most-believed disease.
-EVAL_METHODS = ("simple_bayes_meu", "simple_bayes", "odds_likelihood", "naive_dempster_shafer")
-DISTRIBUTION_METHODS = ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
-
-METHOD_LABELS = {
-    "simple_bayes_meu": "Simple Bayes-MEU",
-    "simple_bayes": "Simple Bayes",
-    "odds_likelihood": "Odds-likelihood",
-    "naive_dempster_shafer": "Naive Dempster-Shafer",
+# Each evaluated method in presentation order: (report label, calculus that
+# produces its distribution, whether it diagnoses by minimum expected
+# disutility rather than by highest belief).  Every calculus is also a
+# method of its own, so its label heads its expert-rating row.
+METHODS = {
+    "simple_bayes_meu": ("Simple Bayes-MEU", "simple_bayes", True),
+    "simple_bayes": ("Simple Bayes", "simple_bayes", False),
+    "odds_likelihood": ("Odds-likelihood", "odds_likelihood", False),
+    "naive_dempster_shafer": ("Naive Dempster-Shafer", "naive_dempster_shafer", False),
 }
+EVAL_METHODS = tuple(METHODS)
+
+_INFERENCE = {
+    "simple_bayes": engine.simple_bayes,
+    "odds_likelihood": engine.odds_likelihood,
+    "naive_dempster_shafer": engine.naive_dempster_shafer,
+}
+DISTRIBUTION_METHODS = tuple(_INFERENCE)
 
 # Sentence-case labels head the main ratings table; title-case labels are
 # used in the gold-versus-gold section.
@@ -69,16 +74,6 @@ GOLD_PAIR_LABELS = {
     "informed": "Informed Gold Standard",
 }
 
-_INFERENCE = {
-    "simple_bayes": engine.simple_bayes,
-    "odds_likelihood": engine.odds_likelihood,
-    "naive_dempster_shafer": engine.naive_dempster_shafer,
-}
-
-
-def _distribution_method(method: str) -> str:
-    return "simple_bayes" if method == "simple_bayes_meu" else method
-
 
 @dataclass(frozen=True)
 class CaseWeight:
@@ -88,25 +83,6 @@ class CaseWeight:
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight for '{self.case_id}' outside [0, 1]: {self.weight!r}")
-
-
-@dataclass(frozen=True)
-class RatingPair:
-    """Micromort ratings of a method diagnosis and the gold diagnosis."""
-
-    r_method: float
-    r_gold: float
-
-    def __post_init__(self) -> None:
-        if self.r_method < self.r_gold:
-            raise ValueError(
-                f"method rating {self.r_method!r} below gold rating {self.r_gold!r}; "
-                "the gold diagnosis minimizes expected disutility"
-            )
-
-    @property
-    def diff(self) -> float:
-        return self.r_method - self.r_gold
 
 
 @dataclass(frozen=True)
@@ -141,6 +117,19 @@ class Exclusion:
     reason: str
 
 
+# TSV cell format per report column; micromorts print as integers, other
+# columns as ``str``, and a missing value as ``-``.
+_TSV_FORMATS = {
+    "absolute_mean_micromorts": round,
+    "diff_mean": round,
+    "diff_sd": round,
+    "mean": "{:.2f}".format,
+    "sd": "{:.2f}".format,
+    "statistic": "{:.4f}".format,
+    "asl": "{:.6f}".format,
+}
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     gold_source: str
@@ -153,44 +142,40 @@ class EvaluationReport:
     seed: int
     iterations: int
 
+    def _sections(self) -> list[tuple[str, tuple[str, ...], list[tuple]]]:
+        """(section name, column names, rows of raw values) in report order.
+
+        Each row holds its dataclass's fields in column order; a decision
+        row prints its agreement as "k of n"."""
+
+        def decision(row: DecisionRow) -> tuple:
+            agreement = None if row.agreement is None else "{} of {}".format(*row.agreement)
+            return (*astuple(row)[:4], agreement)
+
+        columns = ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd", "gold_agreement")
+        return [
+            ("decision_theoretic", columns, [decision(r) for r in self.decision_rows]),
+            ("gold_standards", columns[:4], [decision(r)[:4] for r in self.gold_rows]),
+            ("expert_ratings", ("method", "mean", "sd"), [astuple(r) for r in self.expert_rows]),
+            (
+                "significance",
+                ("comparison", "test", "statistic", "asl", "seed", "iterations"),
+                [astuple(r) for r in self.significance],
+            ),
+            ("exclusions", ("case", "reason"), [astuple(r) for r in self.exclusions]),
+        ]
+
     def to_tsv(self) -> str:
-        def mm(x: float | None) -> str:
-            return "-" if x is None else str(round(x))
-
-        def agree(a: tuple[int, int] | None) -> str:
-            return "-" if a is None else f"{a[0]} of {a[1]}"
-
-        def opt(x) -> str:
-            return "-" if x is None else str(x)
-
-        lines = ["[decision_theoretic]"]
-        lines.append("row\tabsolute_mean_micromorts\tdiff_mean\tdiff_sd\tgold_agreement")
-        for row in self.decision_rows:
-            lines.append(
-                f"{row.label}\t{mm(row.absolute_mean)}\t{mm(row.diff_mean)}"
-                f"\t{mm(row.diff_sd)}\t{agree(row.agreement)}"
-            )
-        lines.append("[gold_standards]")
-        lines.append("row\tabsolute_mean_micromorts\tdiff_mean\tdiff_sd")
-        for row in self.gold_rows:
-            lines.append(
-                f"{row.label}\t{mm(row.absolute_mean)}\t{mm(row.diff_mean)}\t{mm(row.diff_sd)}"
-            )
-        lines.append("[expert_ratings]")
-        lines.append("method\tmean\tsd")
-        for row in self.expert_rows:
-            lines.append(f"{row.label}\t{row.mean:.2f}\t{row.sd:.2f}")
-        lines.append("[significance]")
-        lines.append("comparison\ttest\tstatistic\tasl\tseed\titerations")
-        for res in self.significance:
-            lines.append(
-                f"{res.comparison}\t{res.test}\t{res.statistic:.4f}\t{res.asl:.6f}"
-                f"\t{opt(res.seed)}\t{opt(res.iterations)}"
-            )
-        lines.append("[exclusions]")
-        lines.append("case\treason")
-        for exc in self.exclusions:
-            lines.append(f"{exc.case_id}\t{exc.reason}")
+        lines = []
+        for name, columns, rows in self._sections():
+            lines.append(f"[{name}]")
+            lines.append("\t".join(columns))
+            for row in rows:
+                cells = (
+                    "-" if value is None else str(_TSV_FORMATS.get(column, str)(value))
+                    for column, value in zip(columns, row)
+                )
+                lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -199,43 +184,9 @@ class EvaluationReport:
             "cases": self.case_count,
             "seed": self.seed,
             "iterations": self.iterations,
-            "decision_theoretic": [
-                {
-                    "row": row.label,
-                    "absolute_mean_micromorts": row.absolute_mean,
-                    "diff_mean": row.diff_mean,
-                    "diff_sd": row.diff_sd,
-                    "gold_agreement": None if row.agreement is None else f"{row.agreement[0]} of {row.agreement[1]}",
-                }
-                for row in self.decision_rows
-            ],
-            "gold_standards": [
-                {
-                    "row": row.label,
-                    "absolute_mean_micromorts": row.absolute_mean,
-                    "diff_mean": row.diff_mean,
-                    "diff_sd": row.diff_sd,
-                }
-                for row in self.gold_rows
-            ],
-            "expert_ratings": [
-                {"method": row.label, "mean": row.mean, "sd": row.sd} for row in self.expert_rows
-            ],
-            "significance": [
-                {
-                    "comparison": res.comparison,
-                    "test": res.test,
-                    "statistic": res.statistic,
-                    "asl": res.asl,
-                    "seed": res.seed,
-                    "iterations": res.iterations,
-                }
-                for res in self.significance
-            ],
-            "exclusions": [
-                {"case": exc.case_id, "reason": exc.reason} for exc in self.exclusions
-            ],
         }
+        for name, columns, rows in self._sections():
+            doc[name] = [dict(zip(columns, row)) for row in rows]
         return json.dumps(doc, indent=2) + "\n"
 
 
@@ -244,12 +195,12 @@ class EvaluationReport:
 
 
 def expected_disutility(
-    p_gold: BeliefDistribution, utilities: UtilityMatrix, dx: Diagnosis, kb: KnowledgeBase
+    p_gold: BeliefDistribution, utilities: UtilityMatrix, disease: str, kb: KnowledgeBase
 ) -> float:
-    """Expected micromort loss of diagnosis ``dx`` under the gold distribution."""
-    if dx.disease not in kb.disease_index:
-        raise UnknownDisease(f"unknown diagnosis '{dx.disease}'")
-    return expected_class_disutility(p_gold, utilities, utilities.disease_class(dx.disease))
+    """Expected micromort loss of diagnosing ``disease`` under the gold distribution."""
+    if disease not in kb.disease_index:
+        raise UnknownDisease(f"unknown diagnosis '{disease}'")
+    return expected_class_disutility(p_gold, utilities, utilities.disease_class(disease))
 
 
 def case_weights(cases: Sequence[CaseRecord], kb: KnowledgeBase) -> list[CaseWeight]:
@@ -309,15 +260,22 @@ def permutation_test(
     weighted = [w.weight * d for d, w in pairs]
     observed = math.fsum(weighted)
 
-    n = len(weighted)
     hits = 0
-    for i in range(iterations):
-        rng = random.Random((seed << 32) + i)
-        bits = rng.getrandbits(n)
+    for bits in _sign_flips(len(weighted), iterations, seed):
         stat = math.fsum(v if bits >> k & 1 else -v for k, v in enumerate(weighted))
         if stat >= observed:
             hits += 1
     return (1 + hits) / (1 + iterations)
+
+
+@functools.lru_cache(maxsize=1)
+def _sign_flips(n: int, iterations: int, seed: int) -> tuple[int, ...]:
+    """The n sign-flip bits of every iteration, one RNG stream per iteration.
+
+    They depend only on (n, iterations, seed), so all pairwise tests of one
+    evaluation share one draw.
+    """
+    return tuple(random.Random((seed << 32) + i).getrandbits(n) for i in range(iterations))
 
 
 def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
@@ -418,8 +376,9 @@ def evaluate_methods(
             raise ValueError(f"unknown method '{m}'")
     if len(set(methods)) != len(methods):
         raise ValueError("duplicate methods configured")
-    ordered_methods = [m for m in EVAL_METHODS if m in methods]
-    needed_dists = [d for d in DISTRIBUTION_METHODS if d in {_distribution_method(m) for m in ordered_methods}]
+    ordered_methods = [m for m in METHODS if m in methods]
+    calculi = {METHODS[m][1] for m in ordered_methods}
+    needed_dists = [d for d in DISTRIBUTION_METHODS if d in calculi]
 
     ordered_cases = sorted(cases, key=lambda c: c.id)
     for case in ordered_cases:
@@ -451,120 +410,92 @@ def evaluate_methods(
     both_golds = all(c.gold_descriptive is not None and c.gold_informed is not None for c in included)
     other_source = "descriptive" if gold_source == "informed" else "informed"
 
+    # Per rated row: its rating of each case and the rating minus the gold
+    # rating; the other gold standard is rated like one more method.
     gold_ratings: list[float] = []
-    gold_dx: dict[str, Diagnosis] = {}
-    per_method_ratings: dict[str, list[RatingPair]] = {m: [] for m in ordered_methods}
-    per_method_agree: dict[str, int] = {m: 0 for m in ordered_methods}
-    other_gold_pairs: list[RatingPair] = []
+    ratings: dict[str, list[float]] = {m: [] for m in ordered_methods + [other_source]}
+    diffs: dict[str, list[float]] = {m: [] for m in ratings}
+    agreement = dict.fromkeys(ordered_methods, 0)
 
     for case in included:
         p_gold = case.gold(gold_source)
         dx_gold = meu_diagnosis(p_gold, utilities, kb)
         r_gold = expected_disutility(p_gold, utilities, dx_gold, kb)
-        gold_dx[case.id] = dx_gold
         gold_ratings.append(r_gold)
 
+        diagnoses = {}
         for method in ordered_methods:
-            dist = distributions[case.id][_distribution_method(method)]
-            if method == "simple_bayes_meu":
-                dx = meu_diagnosis(dist, utilities, kb)
+            _, calculus, uses_meu = METHODS[method]
+            dist = distributions[case.id][calculus]
+            if uses_meu:
+                diagnoses[method] = meu_diagnosis(dist, utilities, kb)
             else:
-                dx = max_belief_diagnosis(dist)
-            r = expected_disutility(p_gold, utilities, dx, kb)
-            per_method_ratings[method].append(RatingPair(r_method=r, r_gold=r_gold))
-            if dx.disease == dx_gold.disease:
-                per_method_agree[method] += 1
-
+                diagnoses[method] = max_belief_diagnosis(dist)
+            agreement[method] += diagnoses[method] == dx_gold
         if both_golds:
-            dx_other = meu_diagnosis(case.gold(other_source), utilities, kb)
-            r_other = expected_disutility(p_gold, utilities, dx_other, kb)
-            other_gold_pairs.append(RatingPair(r_method=r_other, r_gold=r_gold))
+            diagnoses[other_source] = meu_diagnosis(case.gold(other_source), utilities, kb)
+        for row, dx in diagnoses.items():
+            r = expected_disutility(p_gold, utilities, dx, kb)
+            ratings[row].append(r)
+            diffs[row].append(r - r_gold)
+
+    def rated_row(label: str, row: str, agree: tuple[int, int] | None = None) -> DecisionRow:
+        absolute, _ = weighted_mean_sd(ratings[row], weights)
+        diff_mean, diff_sd = weighted_mean_sd(diffs[row], weights)
+        return DecisionRow(label, absolute, diff_mean, diff_sd, agree)
 
     n_cases = len(included)
     gold_mean, _ = weighted_mean_sd(gold_ratings, weights)
     decision_rows = [DecisionRow(label=GOLD_ROW_LABELS[gold_source], absolute_mean=gold_mean)]
-    method_diffs: dict[str, list[float]] = {}
     for method in ordered_methods:
-        pairs = per_method_ratings[method]
-        absolute, _ = weighted_mean_sd([p.r_method for p in pairs], weights)
-        diffs = [p.diff for p in pairs]
-        method_diffs[method] = diffs
-        diff_mean, diff_sd = weighted_mean_sd(diffs, weights)
-        decision_rows.append(
-            DecisionRow(
-                label=METHOD_LABELS[method],
-                absolute_mean=absolute,
-                diff_mean=diff_mean,
-                diff_sd=diff_sd,
-                agreement=(per_method_agree[method], n_cases),
-            )
-        )
+        decision_rows.append(rated_row(METHODS[method][0], method, (agreement[method], n_cases)))
 
     gold_rows: tuple[DecisionRow, ...] = ()
     if both_golds:
-        other_mean, _ = weighted_mean_sd([p.r_method for p in other_gold_pairs], weights)
-        other_diff_mean, other_diff_sd = weighted_mean_sd([p.diff for p in other_gold_pairs], weights)
         gold_rows = (
             DecisionRow(label=GOLD_PAIR_LABELS[gold_source], absolute_mean=gold_mean),
-            DecisionRow(
-                label=GOLD_PAIR_LABELS[other_source],
-                absolute_mean=other_mean,
-                diff_mean=other_diff_mean,
-                diff_sd=other_diff_sd,
-            ),
+            rated_row(GOLD_PAIR_LABELS[other_source], other_source),
         )
 
-    rated_dists = [d for d in DISTRIBUTION_METHODS if d in needed_dists]
-    any_ratings = any(case.expert_ratings for case in included)
-    expert_rows: list[ExpertRow] = []
-    expert_means: dict[str, float] = {}
-    if any_ratings:
-        summary = expert_rating_summary(included, weights, rated_dists)
-        for method in rated_dists:
-            mean, sd = summary[method]
-            expert_means[method] = mean
-            expert_rows.append(ExpertRow(label=METHOD_LABELS[method], mean=mean, sd=sd))
+    summary: dict[str, tuple[float, float]] = {}
+    if any(case.expert_ratings for case in included):
+        summary = expert_rating_summary(included, weights, needed_dists)
+    expert_rows = [ExpertRow(METHODS[m][0], *summary[m]) for m in summary]
 
     significance: list[SignificanceResult] = []
-    for idx_a in range(len(ordered_methods)):
-        for idx_b in range(idx_a + 1, len(ordered_methods)):
-            first, second = ordered_methods[idx_a], ordered_methods[idx_b]
-            paired = [da - db for da, db in zip(method_diffs[first], method_diffs[second])]
-            observed = math.fsum(w.weight * d for w, d in zip(weights, paired))
-            if observed < 0.0:
-                first, second = second, first
-                paired = [-d for d in paired]
-                observed = -observed
-            asl = permutation_test(paired, weights, iterations, seed)
-            significance.append(
-                SignificanceResult(
-                    comparison=f"{METHOD_LABELS[first]} vs {METHOD_LABELS[second]}",
-                    test="monte_carlo_permutation",
-                    statistic=observed,
-                    asl=asl,
-                    seed=seed,
-                    iterations=iterations,
-                )
+    for first, second in combinations(ordered_methods, 2):
+        paired = [da - db for da, db in zip(diffs[first], diffs[second])]
+        observed = math.fsum(w.weight * d for w, d in zip(weights, paired))
+        if observed < 0.0:
+            first, second = second, first
+            paired = [-d for d in paired]
+            observed = -observed
+        significance.append(
+            SignificanceResult(
+                comparison=f"{METHODS[first][0]} vs {METHODS[second][0]}",
+                test="monte_carlo_permutation",
+                statistic=observed,
+                asl=permutation_test(paired, weights, iterations, seed),
+                seed=seed,
+                iterations=iterations,
             )
-    if expert_rows:
-        for idx_a in range(len(rated_dists)):
-            for idx_b in range(idx_a + 1, len(rated_dists)):
-                first, second = rated_dists[idx_a], rated_dists[idx_b]
-                # Higher ratings are better; test whether the better-rated
-                # method is stochastically larger.
-                if expert_means[second] > expert_means[first]:
-                    first, second = second, first
-                a = [c.expert_ratings[first] for c in included]
-                b = [c.expert_ratings[second] for c in included]
-                statistic, asl = _rank_sum_test(a, b)
-                significance.append(
-                    SignificanceResult(
-                        comparison=f"{METHOD_LABELS[first]} vs {METHOD_LABELS[second]}",
-                        test="wilcoxon_rank_sum",
-                        statistic=statistic,
-                        asl=asl,
-                    )
-                )
+        )
+    for first, second in combinations(summary, 2):
+        # Higher ratings are better; test whether the better-rated
+        # method is stochastically larger.
+        if summary[second][0] > summary[first][0]:
+            first, second = second, first
+        a = [c.expert_ratings[first] for c in included]
+        b = [c.expert_ratings[second] for c in included]
+        statistic, asl = _rank_sum_test(a, b)
+        significance.append(
+            SignificanceResult(
+                comparison=f"{METHODS[first][0]} vs {METHODS[second][0]}",
+                test="wilcoxon_rank_sum",
+                statistic=statistic,
+                asl=asl,
+            )
+        )
 
     return EvaluationReport(
         gold_source=gold_source,

@@ -300,6 +300,15 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _id(value, where: str) -> str:
+    """A disease or case id: reports print ids as TSV cells, so a tab or a
+    line break in one would forge columns or rows."""
+    text = _string(value, where)
+    if any(c in text for c in "\t\n\r"):
+        raise FileFormatError(f"{where}: ids must not contain tabs or line breaks, got {text!r}")
+    return text
+
+
 def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
     """Parse and validate a knowledge-base file.
 
@@ -314,7 +323,7 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
         where = f"diseases[{i}]"
         diseases.append(
             Disease(
-                id=_string(_require(entry, "id", where), f"{where}.id"),
+                id=_id(_require(entry, "id", where), f"{where}.id"),
                 name=_string(_require(entry, "name", where), f"{where}.name"),
                 prior=_number(_require(entry, "prior", where), f"{where}.prior"),
                 equivalence_class=_string(_require(entry, "class", where), f"{where}.class"),
@@ -407,7 +416,7 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
     seen_ids: set[str] = set()
     for i, entry in enumerate(doc):
         where = f"cases[{i}]"
-        case_id = _string(_require(entry, "id", where), f"{where}.id")
+        case_id = _id(_require(entry, "id", where), f"{where}.id")
         where = f"case '{case_id}'"
         if case_id in seen_ids:
             violations.append(f"{where}: duplicate case id")

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uncertain_dx.cli import main
 
@@ -55,6 +61,15 @@ def _set_first_prior(value):
     return edit
 
 
+def _renamed(doc, old, new):
+    """``doc`` with every string and object key equal to ``old`` replaced."""
+    if isinstance(doc, dict):
+        return {new if k == old else k: _renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old, new) for v in doc]
+    return new if doc == old else doc
+
+
 MALFORMED = {
     "nan-prior": (KB, _set_first_prior(float("nan"))),
     "overflowing-prior": (KB, _set_first_prior(10**400)),
@@ -64,13 +79,17 @@ MALFORMED = {
     "diseases-not-an-array": (KB, lambda doc: doc.update(diseases=5)),
     "observations-not-an-array": (CASES, lambda doc: doc[0].update(observations=5)),
     "disutility-entry-not-an-object": (UTILITIES, lambda doc: doc.update(disutility=[1])),
+    # Ids print as TSV cells: these would forge an infer column and a report section.
+    "disease-id-with-tab": (KB, lambda doc: doc.update(_renamed(doc, "fl", "fl\tx"))),
+    "case-id-with-line-break": (CASES, lambda doc: doc[-1].update(id="c5\tall\n[significance]")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_document_exits_2(name, tmp_path, capsys):
-    """Mistyped containers and non-finite or overflowing numbers are
-    input errors at load time, never a traceback or a false "OK"."""
+    """Mistyped containers, non-finite or overflowing numbers, and ids
+    that would break TSV are input errors at load time, never a
+    traceback or a false "OK"."""
     target, edit = MALFORMED[name]
     doc = json.loads(open(target).read())
     edit(doc)
@@ -79,6 +98,79 @@ def test_malformed_document_exits_2(name, tmp_path, capsys):
     paths = {KB: KB, CASES: CASES, UTILITIES: UTILITIES, target: str(bad)}
     assert main(["validate", "--kb", paths[KB], "--cases", paths[CASES], "--utilities", paths[UTILITIES]]) == 2
     assert "FileFormatError" in capsys.readouterr().err
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+IDS = st.text("xy", min_size=1, max_size=3) | st.text("xy\t\n\r", min_size=1, max_size=3)
+SECTIONS = [
+    "[decision_theoretic]", "[gold_standards]", "[expert_ratings]", "[significance]", "[exclusions]",
+]
+
+
+# The autouse fixture only changes directory, which every example shares.
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_any_document_exits_0_2_or_3_with_well_formed_tsv(data):
+    """Fixture documents with a renamed case, a renamed disease and, in
+    half the examples, one drawn JSON value swapped in at a drawn path: ``evaluate`` and
+    ``infer --case`` return 0, 2 or 3 and raise nothing, and TSV on
+    success has the expected sections and as many fields per row as
+    its header."""
+    case_id, disease_id = data.draw(IDS), data.draw(IDS)
+    docs = {}
+    for path in (KB, CASES, UTILITIES):
+        doc = json.loads(open(path).read())
+        docs[path] = _renamed(_renamed(doc, "c5", case_id), "va", disease_id)
+    if data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(sorted(docs)))
+        *parents, key = data.draw(st.sampled_from(list(_paths(docs[target]))))
+        container = docs[target]
+        for step in parents:
+            container = container[step]
+        container[key] = data.draw(JSON_VALUES)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {path: str(Path(tmp) / Path(path).name) for path in docs}
+        for path, doc in docs.items():
+            Path(files[path]).write_text(json.dumps(doc))
+        out = Path(tmp) / "out.tsv"
+        inputs = ["--kb", files[KB], "--cases", files[CASES]]
+        with redirect_stderr(io.StringIO()):
+            evaluate = main(["evaluate", *inputs, "--utilities", files[UTILITIES],
+                             "--iterations", "1000", "--out", str(out)])
+            evaluated = out.read_text() if evaluate == 0 else ""
+            infer = main(["infer", *inputs, "--case", case_id, "--out", str(out)])
+        assert evaluate in (0, 2, 3) and infer in (0, 2, 3)
+
+        # A row always has a tab, so only a header line equals a section name.
+        lines = evaluated.split("\n")[:-1]
+        if evaluate == 0:
+            assert [line for line in lines if line in SECTIONS] == SECTIONS
+            for line in lines:
+                if line in SECTIONS:
+                    width = None
+                elif width is None:
+                    width = len(line.split("\t"))
+                else:
+                    assert len(line.split("\t")) == width, line
+        if infer == 0:
+            for line in out.read_text().split("\n")[:-1]:
+                assert line.startswith("# ") or len(line.split("\t")) == 2, line
 
 
 class TestInferCommand:

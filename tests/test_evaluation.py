@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from uncertain_dx.decision import Diagnosis, UtilityMatrix, max_belief_diagnosis, meu_diagnosis
+from uncertain_dx import evaluation
+from uncertain_dx.decision import UtilityMatrix, max_belief_diagnosis, meu_diagnosis
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
     MissingGoldStandard,
@@ -17,7 +18,6 @@ from uncertain_dx.errors import (
 )
 from uncertain_dx.evaluation import (
     CaseWeight,
-    RatingPair,
     case_weights,
     evaluate_methods,
     expected_disutility,
@@ -65,13 +65,11 @@ BL_KB = KnowledgeBase(
 class TestExpectedDisutility:
     def test_point_mass_correct_class_is_free(self):
         p = dist(benign=1.0)
-        dx = Diagnosis(disease="benign", rule="meu")
-        assert expected_disutility(p, BENIGN_LETHAL, dx, BL_KB) == 0.0
+        assert expected_disutility(p, BENIGN_LETHAL, "benign", BL_KB) == 0.0
 
     def test_missed_lethal_mass(self):
         p = dist(benign=0.9, lethal=0.1)
-        dx = Diagnosis(disease="benign", rule="max_belief")
-        assert expected_disutility(p, BENIGN_LETHAL, dx, BL_KB) == pytest.approx(80000.0, abs=1e-9)
+        assert expected_disutility(p, BENIGN_LETHAL, "benign", BL_KB) == pytest.approx(80000.0, abs=1e-9)
 
     def test_within_class_spread_is_free_on_zero_diagonal(self, fixture_kb, fixture_utilities):
         zero_diag = UtilityMatrix(
@@ -82,8 +80,7 @@ class TestExpectedDisutility:
             expansion=fixture_utilities.expansion,
         )
         p = dist(va=0.4, csd=0.35, sh=0.25)
-        dx = Diagnosis(disease="csd", rule="meu")
-        assert expected_disutility(p, zero_diag, dx, fixture_kb) == 0.0
+        assert expected_disutility(p, zero_diag, "csd", fixture_kb) == 0.0
 
 
 class TestCaseWeights:
@@ -256,16 +253,6 @@ class TestExpertRatingSummary:
             expert_rating_summary(cases, uniform_weights(2), ["simple_bayes"])
 
 
-class TestRatingPair:
-    def test_diff_nonnegative(self):
-        pair = RatingPair(r_method=5.0, r_gold=2.0)
-        assert pair.diff == 3.0
-
-    def test_method_below_gold_rejected(self):
-        with pytest.raises(ValueError):
-            RatingPair(r_method=1.0, r_gold=2.0)
-
-
 class TestEvaluateMethods:
     def run(self, fixture_kb, fixture_cases, fixture_utilities, **kwargs):
         kwargs.setdefault("methods", ["simple_bayes_meu", "simple_bayes", "odds_likelihood", "naive_dempster_shafer"])
@@ -330,7 +317,7 @@ class TestEvaluateMethods:
                 dx = max_belief_diagnosis(run(fixture_kb, case.observations))
                 r = expected_disutility(p_gold, fixture_utilities, dx, fixture_kb)
                 assert r >= r_gold
-                if dx.disease == dx_gold.disease:
+                if dx == dx_gold:
                     assert r == r_gold
 
     def test_diffs_zero_when_methods_match_gold(self):
@@ -434,3 +421,22 @@ class TestEvaluateMethods:
             "Simple Bayes",
         ]
         assert all(r.test != "monte_carlo_permutation" for r in report.significance)
+
+    def test_sign_flips_drawn_once_per_evaluation(
+        self, fixture_kb, fixture_cases, fixture_utilities, monkeypatch
+    ):
+        """The six pair tests share one (n, iterations, seed), so their
+        sign-flip bits come from one draw of one RNG per iteration."""
+        constructed = 0
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                nonlocal constructed
+                constructed += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        evaluation._sign_flips.cache_clear()
+        report = self.run(fixture_kb, fixture_cases, fixture_utilities, iterations=1000)
+        assert sum(r.test == "monte_carlo_permutation" for r in report.significance) == 6
+        assert constructed == 1000
