@@ -16,10 +16,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import engine, evaluation, synth
-from .decision import load_utilities, utility_coverage_violations
+from .decision import UtilityMatrix, load_utilities, utility_coverage_violations
 from .errors import InferenceError, InputError, ValidationError
 from .kb import CaseRecord, KnowledgeBase, Observation, load_cases, load_kb
 
@@ -51,13 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_methods(raw: str, allowed: Sequence[str]) -> list[str]:
     methods = [m.strip() for m in raw.split(",") if m.strip()]
-    if not methods:
-        raise ValueError("no methods requested")
-    for m in methods:
-        if m not in allowed:
-            raise ValueError(f"unknown method '{m}' (allowed: {', '.join(allowed)})")
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate methods requested")
+    evaluation.check_methods(methods, allowed)
     return methods
 
 
@@ -85,39 +79,36 @@ def _find_case(cases: Sequence[CaseRecord], case_id: str) -> CaseRecord:
     raise InputError(f"case '{case_id}' not found in the case file")
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    failed = False
-    kb: KnowledgeBase | None = None
+def _load_utilities(path: str, kb: KnowledgeBase | None) -> UtilityMatrix:
+    """Load a utility model and check that it covers ``kb``, when given one."""
+    utilities = load_utilities(path)
+    coverage = utility_coverage_violations(utilities, kb) if kb is not None else []
+    if coverage:
+        raise ValidationError(coverage)
+    return utilities
+
+
+def _print_check(label: str, load: Callable, *args):
+    """Call ``load``; print "<label>: OK" and return its result, or print
+    each violation it raises and return None."""
     try:
-        kb = load_kb(args.kb)
-        print("kb: OK")
+        value = load(*args)
     except ValidationError as exc:
-        failed = True
         for violation in exc.violations:
-            print(f"kb: {violation}")
+            print(f"{label}: {violation}")
+        return None
+    print(f"{label}: OK")
+    return value
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    kb = _print_check("kb", load_kb, args.kb)
+    ok = kb is not None
     if kb is not None and args.cases is not None:
-        try:
-            load_cases(args.cases, kb)
-            print("cases: OK")
-        except ValidationError as exc:
-            failed = True
-            for violation in exc.violations:
-                print(f"cases: {violation}")
+        ok &= _print_check("cases", load_cases, args.cases, kb) is not None
     if args.utilities is not None:
-        try:
-            utilities = load_utilities(args.utilities)
-            coverage = utility_coverage_violations(utilities, kb) if kb is not None else []
-            if coverage:
-                failed = True
-                for violation in coverage:
-                    print(f"utilities: {violation}")
-            else:
-                print("utilities: OK")
-        except ValidationError as exc:
-            failed = True
-            for violation in exc.violations:
-                print(f"utilities: {violation}")
-    return EXIT_INPUT if failed else EXIT_OK
+        ok &= _print_check("utilities", _load_utilities, args.utilities, kb) is not None
+    return EXIT_OK if ok else EXIT_INPUT
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -160,10 +151,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     cases = load_cases(args.cases, kb)
-    utilities = load_utilities(args.utilities)
-    coverage = utility_coverage_violations(utilities, kb)
-    if coverage:
-        raise ValidationError(coverage)
+    utilities = _load_utilities(args.utilities, kb)
     methods = _parse_methods(args.methods, evaluation.EVAL_METHODS)
     report = evaluation.evaluate_methods(
         kb,
@@ -235,14 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "evaluate",
         help="score methods against a gold standard and emit the report",
-        description=(
-            "Report sections: [decision_theoretic] (row, absolute_mean_micromorts, "
-            "diff_mean, diff_sd, gold_agreement), [gold_standards] (row, "
-            "absolute_mean_micromorts, diff_mean, diff_sd), [expert_ratings] "
-            "(method, mean, sd), [significance] (comparison, test, statistic, asl, "
-            "seed, iterations), [exclusions] (case, reason). Micromorts print as "
-            "integers."
-        ),
+        description="Report sections: "
+        + ", ".join(f"[{name}] ({', '.join(cols)})" for name, cols in evaluation.REPORT_COLUMNS.items())
+        + ". Micromorts print as integers.",
     )
     p_eval.add_argument("--kb", required=True, help="knowledge-base JSON file")
     p_eval.add_argument("--cases", required=True, help="case JSON file")
@@ -252,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(evaluation.EVAL_METHODS),
         help=f"comma-separated subset of: {', '.join(evaluation.EVAL_METHODS)}",
     )
-    p_eval.add_argument("--gold", choices=("descriptive", "informed"), default="informed")
+    p_eval.add_argument("--gold", choices=tuple(evaluation.GOLD_ROW_LABELS), default="informed")
     p_eval.add_argument(
         "--seed",
         type=int,

@@ -28,15 +28,13 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
-    ConflictingObservations,
     DegeneratePrior,
     EmptyEvidence,
     InconsistentProbabilities,
     UnknownDisease,
-    UnknownObservation,
     ZeroMarginal,
 )
-from .kb import BeliefDistribution, KnowledgeBase, Observation
+from .kb import BeliefDistribution, KnowledgeBase, Observation, _check_observation
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
@@ -65,14 +63,7 @@ def _rows(kb: KnowledgeBase, observations: Sequence[Observation]) -> list[list[f
     """
     seen: set[str] = set()
     for obs in observations:
-        feature = kb.feature_index.get(obs.feature)
-        if feature is None:
-            raise UnknownObservation(f"unknown feature '{obs.feature}'")
-        if obs.value not in feature.values:
-            raise UnknownObservation(f"unknown value '{obs.value}' for feature '{obs.feature}'")
-        if obs.feature in seen:
-            raise ConflictingObservations(f"multiple observations for feature '{obs.feature}'")
-        seen.add(obs.feature)
+        _check_observation(kb, obs, seen)
     entries = kb.conditionals.entries
     return [
         [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases] for obs in observations

@@ -63,6 +63,18 @@ _INFERENCE = {
 }
 DISTRIBUTION_METHODS = tuple(_INFERENCE)
 
+
+def check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
+    """Raise ValueError unless ``methods`` are one or more distinct names from ``allowed``."""
+    if not methods:
+        raise ValueError("no methods requested")
+    for m in methods:
+        if m not in allowed:
+            raise ValueError(f"unknown method '{m}' (allowed: {', '.join(allowed)})")
+    if len(set(methods)) != len(methods):
+        raise ValueError("duplicate methods requested")
+
+
 # Sentence-case labels head the main ratings table; title-case labels are
 # used in the gold-versus-gold section.
 GOLD_ROW_LABELS = {
@@ -117,6 +129,16 @@ class Exclusion:
     reason: str
 
 
+# Column names of each report section, in report order: the TSV header
+# rows, the JSON keys and the ``evaluate`` help text.
+REPORT_COLUMNS = {
+    "decision_theoretic": ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd", "gold_agreement"),
+    "gold_standards": ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd"),
+    "expert_ratings": ("method", "mean", "sd"),
+    "significance": ("comparison", "test", "statistic", "asl", "seed", "iterations"),
+    "exclusions": ("case", "reason"),
+}
+
 # TSV cell format per report column; micromorts print as integers, other
 # columns as ``str``, and a missing value as ``-``.
 _TSV_FORMATS = {
@@ -152,18 +174,14 @@ class EvaluationReport:
             agreement = None if row.agreement is None else "{} of {}".format(*row.agreement)
             return (*astuple(row)[:4], agreement)
 
-        columns = ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd", "gold_agreement")
-        return [
-            ("decision_theoretic", columns, [decision(r) for r in self.decision_rows]),
-            ("gold_standards", columns[:4], [decision(r)[:4] for r in self.gold_rows]),
-            ("expert_ratings", ("method", "mean", "sd"), [astuple(r) for r in self.expert_rows]),
-            (
-                "significance",
-                ("comparison", "test", "statistic", "asl", "seed", "iterations"),
-                [astuple(r) for r in self.significance],
-            ),
-            ("exclusions", ("case", "reason"), [astuple(r) for r in self.exclusions]),
-        ]
+        rows = {
+            "decision_theoretic": [decision(r) for r in self.decision_rows],
+            "gold_standards": [decision(r)[:4] for r in self.gold_rows],
+            "expert_ratings": [astuple(r) for r in self.expert_rows],
+            "significance": [astuple(r) for r in self.significance],
+            "exclusions": [astuple(r) for r in self.exclusions],
+        }
+        return [(name, columns, rows[name]) for name, columns in REPORT_COLUMNS.items()]
 
     def to_tsv(self) -> str:
         lines = []
@@ -369,13 +387,7 @@ def evaluate_methods(
     """
     if gold_source not in GOLD_ROW_LABELS:
         raise ValueError(f"gold source must be 'descriptive' or 'informed', got {gold_source!r}")
-    if not methods:
-        raise ValueError("no methods configured")
-    for m in methods:
-        if m not in EVAL_METHODS:
-            raise ValueError(f"unknown method '{m}'")
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate methods configured")
+    check_methods(methods, EVAL_METHODS)
     ordered_methods = [m for m in METHODS if m in methods]
     calculi = {METHODS[m][1] for m in ordered_methods}
     needed_dists = [d for d in DISTRIBUTION_METHODS if d in calculi]

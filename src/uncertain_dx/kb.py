@@ -35,9 +35,15 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
-from .errors import AllHypothesesRuledOut, FileFormatError, ValidationError
+from .errors import (
+    AllHypothesesRuledOut,
+    ConflictingObservations,
+    FileFormatError,
+    UnknownObservation,
+    ValidationError,
+)
 
 # Probability sums are checked against these tolerances: tight enough to
 # catch data errors, loose enough for decimal text round-trips.
@@ -181,7 +187,7 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
         if d.id in seen_d:
             violations.append(f"disease '{d.id}': duplicate id")
         seen_d.add(d.id)
-        if d.prior <= 0.0:
+        if not d.prior > 0.0:
             violations.append(f"disease '{d.id}': prior must be strictly positive")
         if d.prior > 1.0:
             violations.append(f"disease '{d.id}': prior {d.prior} exceeds 1")
@@ -189,7 +195,7 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
         violations.append("knowledge base has no diseases")
     else:
         total = math.fsum(d.prior for d in kb.diseases)
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             violations.append(f"disease priors must sum to 1 (got {total!r})")
 
     seen_f: set[str] = set()
@@ -202,38 +208,59 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
         if len(set(f.values)) != len(f.values):
             violations.append(f"feature '{f.id}': duplicate value ids")
 
-    valid_values = {f.id: set(f.values) for f in kb.features}
-    disease_ids = {d.id for d in kb.diseases}
-    for (feat, value, dis), p in kb.conditionals.entries.items():
+    violations.extend(
+        _table_violations(kb.features, [d.id for d in kb.diseases], kb.conditionals.entries)
+    )
+    return violations
+
+
+def _table_violations(
+    features: Sequence[Feature],
+    disease_ids: Sequence[str],
+    entries: Mapping[tuple[str, str, str], float],
+) -> list[str]:
+    """The dense-table rule: every entry names a known feature, value and
+    disease and lies in [0, 1], and every (feature, disease) row is
+    complete and sums to 1."""
+    violations: list[str] = []
+    valid_values = {f.id: set(f.values) for f in features}
+    known_diseases = set(disease_ids)
+    for (feat, value, dis), p in entries.items():
         if feat not in valid_values:
             violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
             continue
         if value not in valid_values[feat]:
             violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
-        if dis not in disease_ids:
+        if dis not in known_diseases:
             violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
         if not 0.0 <= p <= 1.0:
             violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
 
-    # Dense-table requirement: every (feature, disease) row complete and
-    # summing to 1.
-    for f in kb.features:
+    for f in features:
         if len(set(f.values)) != len(f.values):
             continue
-        for d in kb.diseases:
-            row = [
-                kb.conditionals.entries[(f.id, v, d.id)]
-                for v in f.values
-                if (f.id, v, d.id) in kb.conditionals.entries
-            ]
+        for dis in disease_ids:
+            row = [entries[(f.id, v, dis)] for v in f.values if (f.id, v, dis) in entries]
             if len(row) != len(f.values):
-                violations.append(f"conditional row ({f.id}, {d.id}): missing value entries")
+                violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
                 continue
             s = math.fsum(row)
             if abs(s - 1.0) > PROB_SUM_TOL:
-                violations.append(f"conditional row ({f.id}, {d.id}): sums to {s!r}, expected 1")
-
+                violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
     return violations
+
+
+def _check_observation(kb: KnowledgeBase, obs: Observation, seen: set[str]) -> None:
+    """Reject an unknown feature, an unknown value, then a feature already in
+    ``seen``; otherwise add the observation's feature to ``seen``."""
+    feature = kb.feature_index.get(obs.feature)
+    if feature is None:
+        raise UnknownObservation(f"unknown feature '{obs.feature}'")
+    if obs.value not in feature.values:
+        raise UnknownObservation(f"unknown value '{obs.value}' for feature '{obs.feature}'")
+    if obs.feature in seen:
+        raise ConflictingObservations(f"multiple observations for feature '{obs.feature}'")
+    seen.add(obs.feature)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +453,19 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
         seen_features: set[str] = set()
         for j, obs in enumerate(_array(_require(entry, "observations", where), f"{where}.observations")):
             ow = f"{where}.observations[{j}]"
-            feat = _string(_require(obs, "feature", ow), f"{ow}.feature")
-            value = _string(_require(obs, "value", ow), f"{ow}.value")
-            feature = kb.feature_index.get(feat)
-            if feature is None:
-                violations.append(f"{ow}: unknown feature '{feat}'")
+            observation = Observation(
+                feature=_string(_require(obs, "feature", ow), f"{ow}.feature"),
+                value=_string(_require(obs, "value", ow), f"{ow}.value"),
+            )
+            try:
+                _check_observation(kb, observation, seen_features)
+            except UnknownObservation as exc:
+                violations.append(f"{ow}: {exc}")
                 continue
-            if value not in feature.values:
-                violations.append(f"{ow}: unknown value '{value}' for feature '{feat}'")
+            except ConflictingObservations as exc:
+                violations.append(f"{where}: {exc}")
                 continue
-            if feat in seen_features:
-                violations.append(f"{where}: multiple observations for feature '{feat}'")
-                continue
-            seen_features.add(feat)
-            observations.append(Observation(feature=feat, value=value))
+            observations.append(observation)
 
         true_dx = entry.get("true_diagnosis")
         if true_dx is not None:
@@ -493,7 +519,8 @@ def cross_product_feature(
     the merged feature must be supplied by the caller in ``tables`` under
     the merged feature id: the two features are being merged precisely
     because they are dependent, so multiplying their marginal rows would
-    defeat the purpose.
+    defeat the purpose.  The supplied rows must satisfy the knowledge
+    base's dense-table rule for the merged feature.
     """
     if a.id == b.id:
         raise ValueError(f"cannot merge feature '{a.id}' with itself")
@@ -501,36 +528,16 @@ def cross_product_feature(
     merged_id = f"{a.id}+{b.id}"
     values = tuple(f"{va}+{vb}" for va in a.values for vb in b.values)
     merged = Feature(id=merged_id, name=f"{a.name} and {b.name}", values=values)
+    if len(set(values)) != len(values):  # e.g. "x" + "y+z" and "x+y" + "z"
+        raise ValidationError([f"feature '{merged_id}': duplicate value ids"])
 
-    supplied = {
-        key: p for key, p in tables.entries.items() if key[0] == merged_id
-    }
+    supplied = {key: p for key, p in tables.entries.items() if key[0] == merged_id}
     disease_ids = sorted({dis for (_, _, dis) in supplied})
     if not disease_ids:
         raise ValidationError(
             [f"merged feature '{merged_id}': no joint conditional rows supplied"]
         )
-
-    violations: list[str] = []
-    for dis in disease_ids:
-        row = []
-        for v in values:
-            key = (merged_id, v, dis)
-            if key not in supplied:
-                violations.append(
-                    f"merged feature '{merged_id}', disease '{dis}': missing joint row for value '{v}'"
-                )
-                continue
-            row.append(supplied[key])
-        if len(row) == len(values):
-            s = math.fsum(row)
-            if abs(s - 1.0) > PROB_SUM_TOL:
-                violations.append(
-                    f"merged feature '{merged_id}', disease '{dis}': joint row sums to {s!r}, expected 1"
-                )
-    stray = [k for k in supplied if k[1] not in set(values)]
-    for key in stray:
-        violations.append(f"merged feature '{merged_id}': unexpected value '{key[1]}'")
+    violations = _table_violations((merged,), disease_ids, supplied)
     if violations:
         raise ValidationError(violations)
 

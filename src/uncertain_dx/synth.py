@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from .kb import (
+    PROB_SUM_TOL,
     BeliefDistribution,
     ConditionalTable,
     Disease,
@@ -56,9 +57,9 @@ class ReplicatedEvidenceSpec:
             )
         if any(not 0.0 <= p <= 1.0 for p in self.likelihoods):
             raise ValueError("likelihoods must lie in [0, 1]")
-        if any(p <= 0.0 for p in self.priors):
-            raise ValueError("priors must be strictly positive")
-        if abs(math.fsum(self.priors) - 1.0) > 1e-9:
+        if any(not 0.0 < p <= 1.0 for p in self.priors):
+            raise ValueError("priors must be positive and at most 1")
+        if abs(math.fsum(self.priors) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"priors must sum to 1, got {math.fsum(self.priors)!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
@@ -137,15 +138,17 @@ def convergence_probe(spec: ReplicatedEvidenceSpec, n_max: int) -> list[ProbePoi
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    # The calculi read only observed rows, so n of n_max tokens give the n-token result.
+    kb, observations = replicate_evidence_kb(replace(spec, n=n_max))
     points = []
     for n in range(1, n_max + 1):
-        kb, observations = replicate_evidence_kb(replace(spec, n=n))
+        first = observations[:n]
         points.append(
             ProbePoint(
                 n=n,
-                simple_bayes=simple_bayes(kb, observations),
-                odds_likelihood=odds_likelihood(kb, observations),
-                naive_dempster_shafer=naive_dempster_shafer(kb, observations),
+                simple_bayes=simple_bayes(kb, first),
+                odds_likelihood=odds_likelihood(kb, first),
+                naive_dempster_shafer=naive_dempster_shafer(kb, first),
             )
         )
     return points

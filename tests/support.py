@@ -14,6 +14,8 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
+from uncertain_dx.engine import _PRIOR_ONE_TOL
+from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
 from uncertain_dx.kb import (
     ConditionalTable,
     Disease,
@@ -72,13 +74,19 @@ def exact_simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -
             mass *= Fraction(kb.conditionals.prob(o.feature, o.value, d.id))
         raw[d.id] = mass
     total = sum(raw.values())
+    if total == 0:
+        raise AllHypothesesRuledOut("every disease has zero posterior mass")
     return {i: float(m / total) for i, m in raw.items()}
 
 
 def exact_odds_likelihood(
     kb: KnowledgeBase, observations: Sequence[Observation]
 ) -> tuple[dict[str, float], float]:
-    """(renormalized beliefs, pre-normalization sum); finite-odds inputs only."""
+    """(renormalized beliefs, pre-normalization sum) with the documented
+    limit conventions: a zero likelihood rules a disease out (belief 0),
+    a zero negation conditional or a prior within _PRIOR_ONE_TOL of 1
+    makes its odds infinite (belief 1), and the diseases with infinite
+    odds share the renormalized mass equally."""
     marginals = {}
     for o in observations:
         marginals[o] = sum(
@@ -86,15 +94,34 @@ def exact_odds_likelihood(
             for d in kb.diseases
         )
     pre = {}
+    infinite = []
     for d in kb.diseases:
         prior = Fraction(d.prior)
-        odds = prior / (1 - prior)
-        for o in observations:
-            numer = Fraction(kb.conditionals.prob(o.feature, o.value, d.id))
-            denom = (marginals[o] - numer * prior) / (1 - prior)
-            odds *= numer / denom
-        pre[d.id] = odds / (1 + odds)
+        likelihoods = [Fraction(kb.conditionals.prob(o.feature, o.value, d.id)) for o in observations]
+        if 0 in likelihoods:
+            pre[d.id] = Fraction(0)
+            continue
+        if d.prior >= 1.0 - _PRIOR_ONE_TOL:
+            odds = None
+        else:
+            odds = prior / (1 - prior)
+            for o, numer in zip(observations, likelihoods):
+                denom = (marginals[o] - numer * prior) / (1 - prior)
+                if denom == 0:
+                    odds = None
+                    break
+                odds *= numer / denom
+        if odds is None:
+            pre[d.id] = Fraction(1)
+            infinite.append(d.id)
+        else:
+            pre[d.id] = odds / (1 + odds)
     total = sum(pre.values())
+    if infinite:
+        share = Fraction(1, len(infinite))
+        return {i: float(share if i in infinite else 0) for i in pre}, float(total)
+    if total == 0:
+        raise AllHypothesesRuledOut("every disease has zero posterior odds")
     return {i: float(p / total) for i, p in pre.items()}, float(total)
 
 
@@ -108,6 +135,8 @@ def exact_naive_ds(
             Fraction(d.prior) * Fraction(kb.conditionals.prob(o.feature, o.value, d.id))
             for d in kb.diseases
         )
+        if marginals[o] == 0:
+            raise ZeroMarginal(f"observation ('{o.feature}', '{o.value}') has zero marginal probability")
     bel = {}
     for d in kb.diseases:
         prod = Fraction(1)

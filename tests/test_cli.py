@@ -290,6 +290,18 @@ class TestEvaluateCommand:
     def test_unknown_method_exits_2(self, capsys):
         assert main(EVALUATE + ["--methods", "tea_leaves"]) == 2
 
+    def test_help_lists_the_golden_report_columns(self, monkeypatch, capsys, data_dir):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        lines = (data_dir / "golden_report.tsv").read_text().splitlines()
+        sections = [(line, lines[i + 1]) for i, line in enumerate(lines) if line.startswith("[")]
+        assert len(sections) == 5
+        for name, header in sections:
+            columns = ", ".join(header.split("\t"))
+            assert f"{name} ({columns})" in help_text
+
 
 class TestProbeCommand:
     def test_row_count(self, capsys):
@@ -307,6 +319,11 @@ class TestProbeCommand:
 
     def test_bad_priors_exit_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8,0.2", "--priors", "0.9,0.2", "--n-max", "2"]) == 2
+
+    @pytest.mark.parametrize("priors", ["1.0000000005,0.0000000001", "nan,nan"])
+    def test_priors_outside_unit_interval_exit_2(self, priors, capsys):
+        assert main(["probe", "--likelihoods", "0.5,0.4", "--priors", priors, "--n-max", "2"]) == 2
+        assert capsys.readouterr().err == "ValueError: priors must be positive and at most 1\n"
 
     def test_malformed_likelihoods_exit_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8;0.2", "--n-max", "2"]) == 2

@@ -391,3 +391,96 @@ def test_each_likelihood_read_once(method):
     entries.lookups = 0
     method(kb, observations)
     assert entries.lookups == 12 * 7
+
+
+def table_kb(priors, tables):
+    """Diseases d0.. with ``priors``; ``tables[k][i]`` is feature fk's row for
+    disease i over values v0, v1, ...  Built in code, so nothing is validated."""
+    diseases = tuple(
+        Disease(id=f"d{i}", name=f"d{i}", prior=p, equivalence_class="c") for i, p in enumerate(priors)
+    )
+    features, entries = [], {}
+    for k, rows in enumerate(tables):
+        values = tuple(f"v{j}" for j in range(len(rows[0])))
+        features.append(Feature(id=f"f{k}", name=f"f{k}", values=values))
+        for d, row in zip(diseases, rows):
+            for value, p in zip(values, row):
+                entries[(f"f{k}", value, d.id)] = p
+    return KnowledgeBase(diseases, tuple(features), ConditionalTable(entries))
+
+
+def _long_case():
+    rng = random.Random(120)
+    kb = random_kb(rng, n_diseases=4, n_features=130)
+    return kb, random_observations(rng, kb, 130)
+
+
+def _edge_case(priors, tables):
+    """The knowledge base and the observation of value v0 of every feature."""
+    kb = table_kb(priors, tables)
+    return kb, [Observation(feature=f.id, value="v0") for f in kb.features]
+
+
+# Engine edge paths next to the exact oracles.  Priors just outside
+# _PRIOR_ONE_TOL of 1 are left out: there the negation's 1 - prior cancels.
+EDGE_CASES = {
+    "zero-likelihood-rules-out": lambda: _edge_case(
+        (0.5, 0.3, 0.2),
+        [[(0.0, 1.0), (0.6, 0.4), (0.3, 0.7)], [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)]],
+    ),
+    "zero-negation-rules-in": lambda: _edge_case(
+        (0.5, 0.3, 0.2),
+        [[(0.4, 0.6), (0.0, 1.0), (0.0, 1.0)], [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)]],
+    ),
+    # Two infinite odds at once need priors summing past 1; the engine does
+    # not check priors, so this pins the documented equal-share rule.
+    "several-ruled-in-share": lambda: _edge_case(
+        (1.0, 1.0, 0.3), [[(0.1, 0.9), (0.2, 0.8), (0.5, 0.5)]]
+    ),
+    "prior-one": lambda: _edge_case((1.0, 1e-10), [[(0.3, 0.7), (0.8, 0.2)]]),
+    "prior-within-tolerance-of-one": lambda: _edge_case(
+        (1.0 - 5e-13, 5e-13), [[(0.3, 0.7), (0.8, 0.2)]]
+    ),
+    "130-observations": _long_case,
+    "every-disease-ruled-out": lambda: _edge_case(
+        (0.5, 0.5), [[(0.0, 1.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)]]
+    ),
+    "zero-marginal": lambda: _edge_case((0.5, 0.5), [[(0.0, 1.0), (0.0, 1.0)]]),
+}
+EDGE_RAISES = {
+    "every-disease-ruled-out": {
+        "simple_bayes": AllHypothesesRuledOut,
+        "odds_likelihood": AllHypothesesRuledOut,
+    },
+    "zero-marginal": {
+        "simple_bayes": AllHypothesesRuledOut,
+        "odds_likelihood": AllHypothesesRuledOut,
+        "naive_dempster_shafer": ZeroMarginal,
+    },
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize(
+    "method, oracle",
+    [
+        (simple_bayes, lambda kb, obs: (exact_simple_bayes(kb, obs), 1.0)),
+        (odds_likelihood, exact_odds_likelihood),
+        (naive_dempster_shafer, exact_naive_ds),
+    ],
+    ids=["simple_bayes", "odds_likelihood", "naive_dempster_shafer"],
+)
+def test_edge_paths_match_exact_oracles(case, method, oracle):
+    kb, observations = EDGE_CASES[case]()
+    expected_error = EDGE_RAISES.get(case, {}).get(method.__name__)
+    if expected_error is not None:
+        with pytest.raises(expected_error):
+            oracle(kb, observations)
+        with pytest.raises(expected_error):
+            method(kb, observations)
+        return
+    beliefs, pre_norm_sum = oracle(kb, observations)
+    dist = method(kb, observations)
+    assert dist.pre_norm_sum == pytest.approx(pre_norm_sum, rel=1e-10)
+    for disease, value in beliefs.items():
+        assert abs(dist.beliefs[disease] - value) < 1e-10

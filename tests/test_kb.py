@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,12 @@ class TestValidateKb:
     def test_zero_prior_rejected(self):
         kb = build_kb([1.0, 0.0], [[0.8, 0.2], [0.2, 0.8]])
         assert any("strictly positive" in v for v in validate_kb(kb))
+
+    def test_nan_prior_rejected(self):
+        kb = build_kb([math.nan, 0.5], [[0.8, 0.2], [0.2, 0.8]])
+        violations = validate_kb(kb)
+        assert "disease 'd0': prior must be strictly positive" in violations
+        assert "disease priors must sum to 1 (got nan)" in violations
 
     def test_single_valued_feature_rejected(self):
         kb = build_kb([0.5, 0.5], [[1.0], [1.0]], values=("v1",))
@@ -270,8 +277,22 @@ class TestCrossProductFeature:
     def test_missing_joint_row_rejected(self):
         entries = dict(self.joint.entries)
         del entries[("size+distribution", "extensive+focal", "d1")]
-        with pytest.raises(ValidationError, match="missing joint row"):
+        with pytest.raises(ValidationError, match="missing value entries"):
             cross_product_feature(self.size, self.dist, ConditionalTable(entries))
+
+    @pytest.mark.parametrize("row", [(1.5, -0.5, 0.0, 0.0), (math.nan, 0.5, 0.25, 0.25)])
+    def test_joint_entry_outside_unit_interval_rejected(self, row):
+        entries = dict(self.joint.entries)
+        d1_keys = [key for key in entries if key[2] == "d1"]
+        entries.update(zip(d1_keys, row))
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            cross_product_feature(self.size, self.dist, ConditionalTable(entries))
+
+    def test_colliding_value_pairs_rejected(self):
+        a = Feature(id="a", name="a", values=("x", "x+y"))
+        b = Feature(id="b", name="b", values=("y+z", "z"))
+        with pytest.raises(ValidationError, match="duplicate value ids"):
+            cross_product_feature(a, b, ConditionalTable({("a+b", "x+y+z", "d0"): 1.0}))
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValidationError, match="no joint conditional rows"):

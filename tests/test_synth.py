@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -150,6 +151,23 @@ class TestConvergenceProbe:
             reference = brute_force_posterior(kb, observations)
             for disease, value in reference.beliefs.items():
                 assert abs(point.simple_bayes.beliefs[disease] - value) < 1e-10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SPEC_PROBE,
+            ReplicatedEvidenceSpec(likelihoods=(0.0, 1.0, 0.3), priors=(0.2, 0.5, 0.3), n=1),
+            ReplicatedEvidenceSpec(likelihoods=(1.0, 1.0), priors=(0.6, 0.4), n=1),
+        ],
+    )
+    def test_trajectory_equals_per_step_knowledge_bases(self, spec):
+        """The probe runs step n on the first n tokens of one n_max-token
+        knowledge base; each step equals a fresh n-token one bit for bit."""
+        for point in convergence_probe(spec, n_max=25):
+            kb, observations = replicate_evidence_kb(replace(spec, n=point.n))
+            assert point.simple_bayes == simple_bayes(kb, observations)
+            assert point.odds_likelihood == odds_likelihood(kb, observations)
+            assert point.naive_dempster_shafer == naive_dempster_shafer(kb, observations)
 
     def test_peakedness_is_monotone_and_dominates_odds(self):
         points = convergence_probe(SPEC_PROBE, n_max=30)
