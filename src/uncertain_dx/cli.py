@@ -13,6 +13,7 @@ Probabilities print with 6 decimal places, micromorts as integers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="uncertain-dx",
         description=(
@@ -192,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--kb", required=True, help="knowledge-base JSON file")
     p_validate.add_argument("--cases", help="case JSON file")
     p_validate.add_argument("--utilities", help="utility-model JSON file")
-    p_validate.set_defaults(func=cmd_validate)
 
     p_infer = sub.add_parser(
         "infer",
@@ -218,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_infer.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_infer.add_argument("--out", help="write output to this path instead of stdout")
-    p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser(
         "evaluate",
@@ -244,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--iterations", type=int, default=10000)
     p_eval.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_eval.add_argument("--out", help="write output to this path instead of stdout")
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_probe = sub.add_parser(
         "probe",
@@ -255,15 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--priors", help="comma-separated priors (default: uniform)")
     p_probe.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_probe.add_argument("--out", help="write output to this path instead of stdout")
-    p_probe.set_defaults(func=cmd_probe)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up on every call, not stored in the cached parser, so a
+    # replaced ``cmd_*`` function is the one that runs.
+    commands = {"validate": cmd_validate, "infer": cmd_infer, "evaluate": cmd_evaluate, "probe": cmd_probe}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except InferenceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFERENCE

@@ -17,7 +17,8 @@ Utility file format (UTF-8 JSON)::
     {"classes": ["benign", ...],
      "expansion": {"disease_id": "class_id", ...},
      "disutility": [{"true": "benign", "diagnosed": "benign",
-                     "micromorts": 1000}, ...]}   # dense over class pairs
+                     "micromorts": 1000}, ...]}   # dense over class pairs,
+                                                  # each in [0, 1e6]
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import IO, Mapping
 
 from .errors import (
+    FileFormatError,
     LinearityRangeExceeded,
     NonpositiveValueOfLife,
     UnmappedDisease,
@@ -38,6 +40,8 @@ from .kb import BeliefDistribution, KnowledgeBase, _array, _number, _object, _pa
 
 # The money/risk trade is linear only for small death probabilities.
 LINEAR_RISK_LIMIT = 0.001
+# A one in one chance of death: no disutility can be larger.
+CERTAIN_DEATH_MICROMORTS = 1e6
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,18 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
 
     Candidates are all diseases in the knowledge base; ties go to the
     smallest disease id, so any disease within the optimal equivalence
-    class may be returned and all such choices score identically.
+    class may be returned and all such choices score identically.  Each
+    class's expected disutility is computed once, when the scan first
+    meets one of its diseases.
     """
     best_id = None
     best = math.inf
+    by_class: dict[str, float] = {}
     for candidate in sorted(d.id for d in kb.diseases):
-        expected = expected_class_disutility(p, utilities, utilities.disease_class(candidate))
+        cls = utilities.disease_class(candidate)
+        if cls not in by_class:
+            by_class[cls] = expected_class_disutility(p, utilities, cls)
+        expected = by_class[cls]
         if expected < best:
             best, best_id = expected, candidate
     if best_id is None:
@@ -191,7 +201,7 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
 
 
 def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatrix:
-    """Parse a utility file; raises on missing entries or negative values."""
+    """Parse a utility file; raises on missing entries or values outside [0, 1e6]."""
     doc = _parse_json(source, "utilities")
 
     raw_classes = _array(_require(doc, "classes", "utilities"), "utilities.classes")
@@ -208,9 +218,12 @@ def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatr
         where = f"utilities.disutility[{i}]"
         true_cls = _string(_require(entry, "true", where), f"{where}.true")
         diag_cls = _string(_require(entry, "diagnosed", where), f"{where}.diagnosed")
-        entries[(true_cls, diag_cls)] = _number(
-            _require(entry, "micromorts", where), f"{where}.micromorts"
-        )
+        micromorts = _number(_require(entry, "micromorts", where), f"{where}.micromorts")
+        if micromorts > CERTAIN_DEATH_MICROMORTS:
+            raise FileFormatError(
+                f"{where}.micromorts: {micromorts!r} is above certain death ({CERTAIN_DEATH_MICROMORTS:.0f})"
+            )
+        entries[(true_cls, diag_cls)] = micromorts
 
     return UtilityMatrix(classes=classes, class_disutility=entries, expansion=expansion)
 

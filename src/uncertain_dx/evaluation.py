@@ -23,6 +23,7 @@ import json
 import math
 import random
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from itertools import combinations
 from statistics import NormalDist
 from typing import Sequence
@@ -81,10 +82,7 @@ GOLD_ROW_LABELS = {
     "descriptive": "Descriptive gold standard",
     "informed": "Informed gold standard",
 }
-GOLD_PAIR_LABELS = {
-    "descriptive": "Descriptive Gold Standard",
-    "informed": "Informed Gold Standard",
-}
+GOLD_PAIR_LABELS = {source: label.title() for source, label in GOLD_ROW_LABELS.items()}
 
 
 @dataclass(frozen=True)
@@ -263,6 +261,10 @@ def permutation_test(
     / (1 + iterations), which never reports an exact zero from a finite
     Monte Carlo run.
 
+    Whether a flipped statistic, the ``math.fsum`` of the flipped weighted
+    differences, reaches the observed one is decided in exact integers
+    (``_flip_sum_tables``), with the same outcome as summing each flip.
+
     Deterministic for a given seed: the iteration RNG streams depend only
     on (seed, iteration index), and inputs are canonicalized by sorting
     on case id first, so pair order does not matter.
@@ -273,17 +275,53 @@ def permutation_test(
         raise ValueError(f"{len(diffs)} diffs but {len(weights)} weights")
     if iterations < 1000:
         raise ValueError(f"iterations must be at least 1000, got {iterations}")
+    if not all(map(math.isfinite, diffs)):
+        raise ValueError("differences must be finite")
 
     pairs = sorted(zip(diffs, weights), key=lambda dw: (dw[1].case_id, dw[0], dw[1].weight))
     weighted = [w.weight * d for d, w in pairs]
-    observed = math.fsum(weighted)
-
+    tables, threshold = _flip_sum_tables(weighted, math.fsum(weighted))
+    width = len(tables)
     hits = 0
     for bits in _sign_flips(len(weighted), iterations, seed):
-        stat = math.fsum(v if bits >> k & 1 else -v for k, v in enumerate(weighted))
-        if stat >= observed:
+        if sum(map(list.__getitem__, tables, bits.to_bytes(width, "little"))) >= threshold:
             hits += 1
     return (1 + hits) / (1 + iterations)
+
+
+def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[list[int]], int]:
+    """(per-byte tables, threshold) such that a sign-flip bit pattern is a hit,
+    ``math.fsum(flipped) >= observed``, exactly when the table entries its
+    bytes select sum to at least the threshold.
+
+    Each term is an exact integer a_k over one power-of-two denominator D,
+    so a flip's exact sum is S / D with S = 2U - T, where T sums every a_k
+    and U those whose bit is set.  ``math.fsum`` rounds S / D correctly and
+    rounding is monotone, so the hit test is S / D >= m, where m is the
+    midpoint between ``observed`` and the float below it; at m itself
+    round-half-even rounds to ``observed`` only when its last significand
+    bit is 0.  Table j holds U over the 256 patterns of bits 8j..8j+7.
+    """
+    ratios = [v.as_integer_ratio() for v in weighted]
+    denominator = max(d for _, d in ratios)
+    terms = [n * (denominator // d) for n, d in ratios]
+
+    below = math.nextafter(observed, -math.inf)
+    # Below the most negative float, rounding behaves as if the next value were -2**1024.
+    low = Fraction(below) if math.isfinite(below) else Fraction(-(2**1024))
+    midpoint = (low + Fraction(observed)) / 2 * denominator
+    tie_rounds_up = int(observed / math.ulp(observed)) % 2 == 0
+    s_min = math.ceil(midpoint) if tie_rounds_up else math.floor(midpoint) + 1
+    # 2U - T >= s_min  <=>  U >= ceil((s_min + T) / 2)
+    threshold = -(-(s_min + sum(terms)) // 2)
+
+    tables = []
+    for start in range(0, len(terms), 8):
+        table = [0]
+        for a in terms[start : start + 8]:
+            table += [u + a for u in table]
+        tables.append(table)
+    return tables, threshold
 
 
 @functools.lru_cache(maxsize=1)
@@ -386,7 +424,8 @@ def evaluate_methods(
     deterministic reduce over cases sorted by id.
     """
     if gold_source not in GOLD_ROW_LABELS:
-        raise ValueError(f"gold source must be 'descriptive' or 'informed', got {gold_source!r}")
+        names = " or ".join(f"'{source}'" for source in GOLD_ROW_LABELS)
+        raise ValueError(f"gold source must be {names}, got {gold_source!r}")
     check_methods(methods, EVAL_METHODS)
     ordered_methods = [m for m in METHODS if m in methods]
     calculi = {METHODS[m][1] for m in ordered_methods}
@@ -419,8 +458,8 @@ def evaluate_methods(
         raise ValidationError(["no cases remain after exclusions"])
 
     weights = case_weights(included, kb)
-    both_golds = all(c.gold_descriptive is not None and c.gold_informed is not None for c in included)
-    other_source = "descriptive" if gold_source == "informed" else "informed"
+    other_source = next(source for source in GOLD_ROW_LABELS if source != gold_source)
+    both_golds = all(c.gold(other_source) is not None for c in included)
 
     # Per rated row: its rating of each case and the rating minus the gold
     # rating; the other gold standard is rated like one more method.

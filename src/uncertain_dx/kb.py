@@ -163,11 +163,11 @@ class CaseRecord:
     expert_ratings: Mapping[str, float] | None = None
 
     def gold(self, source: str) -> BeliefDistribution | None:
-        if source == "descriptive":
-            return self.gold_descriptive
-        if source == "informed":
-            return self.gold_informed
-        raise ValueError(f"unknown gold source '{source}'")
+        golds = {"descriptive": self.gold_descriptive, "informed": self.gold_informed}
+        try:
+            return golds[source]
+        except KeyError:
+            raise ValueError(f"unknown gold source '{source}'") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the true real-arithmetic answer for the float-valued model.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from uncertain_dx.engine import _PRIOR_ONE_TOL
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
+from uncertain_dx.evaluation import CaseWeight, _sign_flips
 from uncertain_dx.kb import (
     ConditionalTable,
     Disease,
@@ -199,3 +201,27 @@ def kb_with_observations(draw, max_observations=4, **kb_kwargs):
         value = draw(st.integers(0, len(feature.values) - 1))
         observations.append(Observation(feature=feature.id, value=feature.values[value]))
     return kb, observations
+
+
+def reference_permutation_test(
+    diffs: Sequence[float], weights: Sequence[CaseWeight], iterations: int, seed: int
+) -> float:
+    """The sign-flip test as one ``math.fsum`` per iteration, the reference
+    for ``evaluation.permutation_test``'s exact-integer hit rule."""
+    if not diffs:
+        raise ValueError("empty sample")
+    if len(diffs) != len(weights):
+        raise ValueError(f"{len(diffs)} diffs but {len(weights)} weights")
+    if iterations < 1000:
+        raise ValueError(f"iterations must be at least 1000, got {iterations}")
+
+    pairs = sorted(zip(diffs, weights), key=lambda dw: (dw[1].case_id, dw[0], dw[1].weight))
+    weighted = [w.weight * d for d, w in pairs]
+    observed = math.fsum(weighted)
+
+    hits = 0
+    for bits in _sign_flips(len(weighted), iterations, seed):
+        stat = math.fsum(v if bits >> k & 1 else -v for k, v in enumerate(weighted))
+        if stat >= observed:
+            hits += 1
+    return (1 + hits) / (1 + iterations)

@@ -79,6 +79,11 @@ MALFORMED = {
     "diseases-not-an-array": (KB, lambda doc: doc.update(diseases=5)),
     "observations-not-an-array": (CASES, lambda doc: doc[0].update(observations=5)),
     "disutility-entry-not-an-object": (UTILITIES, lambda doc: doc.update(disutility=[1])),
+    # Above 1e6 micromorts (certain death); 1e155 overflowed the report's variance.
+    "micromorts-beyond-certain-death": (
+        UTILITIES,
+        lambda doc: [e.update(micromorts=1e155) for e in doc["disutility"] if e["true"] != e["diagnosed"]],
+    ),
     # Ids print as TSV cells: these would forge an infer column and a report section.
     "disease-id-with-tab": (KB, lambda doc: doc.update(_renamed(doc, "fl", "fl\tx"))),
     "case-id-with-line-break": (CASES, lambda doc: doc[-1].update(id="c5\tall\n[significance]")),
@@ -87,17 +92,20 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_document_exits_2(name, tmp_path, capsys):
-    """Mistyped containers, non-finite or overflowing numbers, and ids
-    that would break TSV are input errors at load time, never a
-    traceback or a false "OK"."""
+    """Mistyped containers, non-finite or overflowing numbers, disutilities
+    above 1e6 micromorts, and ids that would break TSV are input errors at
+    load time: one line on stderr, never a traceback or a false "OK"."""
     target, edit = MALFORMED[name]
     doc = json.loads(open(target).read())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000))
     paths = {KB: KB, CASES: CASES, UTILITIES: UTILITIES, target: str(bad)}
-    assert main(["validate", "--kb", paths[KB], "--cases", paths[CASES], "--utilities", paths[UTILITIES]]) == 2
-    assert "FileFormatError" in capsys.readouterr().err
+    files = ["--kb", paths[KB], "--cases", paths[CASES], "--utilities", paths[UTILITIES]]
+    for command in (["validate"], ["evaluate", "--iterations", "1000"]):
+        assert main(command + files) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("FileFormatError: ") and err.count("\n") == 1
 
 
 def _paths(doc, prefix=()):

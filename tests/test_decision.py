@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uncertain_dx import decision
 from uncertain_dx.decision import (
     MicromortQuote,
     UtilityMatrix,
     expand_utilities,
+    expected_class_disutility,
     load_utilities,
     max_belief_diagnosis,
     meu_diagnosis,
@@ -144,6 +147,50 @@ class TestMeuDiagnosis:
         total = sum(weights)
         p = dist(**{d: w / total for d, w in zip(diseases, weights)})
         assert meu_diagnosis(p, u, kb) == meu_diagnosis(p, u2, kb)
+
+    def test_each_class_priced_once(self, monkeypatch):
+        """The expected disutility of each equivalence class is computed
+        once per decision, so a decision costs O(C*D), not O(D^2)."""
+        rng = random.Random(5)
+        classes = [f"k{i}" for i in range(4)]
+        expansion = {f"d{i:02d}": classes[i % 4] for i in range(12)}
+        u = matrix(classes, {(i, j): rng.uniform(0, 1e6) for i in classes for j in classes}, expansion)
+        p = dist(**{d: 1 / 12 for d in expansion})
+        priced = []
+
+        def counting(p, utilities, diagnosed_class):
+            priced.append(diagnosed_class)
+            return expected_class_disutility(p, utilities, diagnosed_class)
+
+        monkeypatch.setattr(decision, "expected_class_disutility", counting)
+        meu_diagnosis(p, u, flat_kb(expansion))
+        assert sorted(priced) == classes
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tied_classes_pick_as_per_disease_scan(self, seed):
+        """Two classes with equal expected disutility: the pick is the one a
+        scan pricing every disease in sorted-id order with a strict ``<``
+        makes, the smallest id across both classes."""
+        rng = random.Random(seed)
+        classes = [f"k{i}" for i in range(rng.randint(2, 5))]
+        tied = rng.sample(classes, 2)
+        ids = rng.sample([f"d{i}" for i in range(20)], rng.randint(2, 9))
+        expansion = {d: tied[i] if i < 2 else rng.choice(classes) for i, d in enumerate(ids)}
+        # The tied classes share one column of utilities below every other column.
+        column = {i: rng.uniform(0, 1e5) for i in classes}
+        table = {(i, j): column[i] if j in tied else rng.uniform(1e5, 1e6) for i in classes for j in classes}
+        u = matrix(classes, table, expansion)
+        weights = [rng.random() + 1e-3 for _ in ids]
+        p = dist(**{d: w / sum(weights) for d, w in zip(ids, weights)})
+        kb = flat_kb(expansion)
+
+        best_id, best = None, math.inf
+        for candidate in sorted(expansion):
+            expected = expected_class_disutility(p, u, u.disease_class(candidate))
+            if expected < best:
+                best, best_id = expected, candidate
+        assert meu_diagnosis(p, u, kb) == best_id == min(d for d in ids if expansion[d] in tied)
 
 
 class TestExpandUtilities:

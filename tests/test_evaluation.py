@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from support import reference_permutation_test
 
 from uncertain_dx import evaluation
 from uncertain_dx.decision import UtilityMatrix, max_belief_diagnosis, meu_diagnosis
@@ -142,6 +146,16 @@ class TestWeightedMeanSd:
             weighted_mean_sd([1.0], uniform_weights(2))
 
 
+@st.composite
+def paired_samples(draw):
+    """(diffs, weights) of 1 to 25 cases: whole micromort differences, which
+    tie often, mixed with floats from subnormal to 1e300 in magnitude."""
+    n = draw(st.integers(1, 25))
+    diff = st.integers(-3, 3).map(lambda k: 1000.0 * k) | st.floats(-1e300, 1e300)
+    weight = st.sampled_from([1.0, 0.5, 1.0 / n]) | st.floats(0.0, 1.0)
+    return draw(st.lists(diff, min_size=n, max_size=n)), draw(st.lists(weight, min_size=n, max_size=n))
+
+
 class TestPermutationTest:
     def test_all_zero_diffs_give_asl_one(self):
         asl = permutation_test([0.0] * 6, uniform_weights(6), iterations=1000, seed=1)
@@ -176,6 +190,35 @@ class TestPermutationTest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             permutation_test([], [], iterations=1000, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_diffs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            permutation_test([1.0, bad], uniform_weights(2), iterations=1000, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample=paired_samples(), seed=st.integers(0, 3))
+    # Flips of 1000 and -1000 tie the observed statistic.
+    @example(sample=([1000.0, -1000.0, 5000.0, 0.0], [0.25] * 4), seed=0)
+    # Flipping the last term gives 1 + 2**-53, the midpoint below the observed
+    # 1 + 2**-52, whose last bit is odd: round-half-even goes down, no hit.
+    @example(sample=([1.0, 3 * 2.0**-54, 2.0**-54], [1.0] * 3), seed=0)
+    # Flipping both small terms gives 1 - 2**-54, the midpoint below the
+    # observed 1.0, whose last bit is even: round-half-even goes up, a hit.
+    @example(sample=([1.0, 2.0**-55, 2.0**-55], [1.0] * 3), seed=0)
+    @example(sample=([5e-324, 1e300, -1e300, -5e-324, 1e-310], [1.0, 1.0, 0.5, 1.0, 0.25]), seed=1)
+    @example(sample=([2.5], [1.0]), seed=0)
+    @example(sample=([1000.0 * (k % 3 - 1) for k in range(8)], [1 / 8] * 8), seed=2)
+    @example(sample=([1000.0 * (k % 4) for k in range(9)], [1 / 9] * 9), seed=3)
+    @example(sample=([1000.0 * (k % 5 - 2) for k in range(24)], [1 / 24] * 24), seed=0)
+    @example(sample=([float(k) - 12.0 for k in range(25)], [1 / 25] * 25), seed=1)
+    def test_matches_the_fsum_reference(self, sample, seed):
+        """The exact-integer hit rule finds the same hits as one ``math.fsum``
+        per iteration, so every ASL equals the reference's."""
+        diffs, values = sample
+        weights = [CaseWeight(f"c{i:02d}", w) for i, w in enumerate(values)]
+        expected = reference_permutation_test(diffs, weights, 1000, seed)
+        assert permutation_test(diffs, weights, 1000, seed) == expected
 
 
 def exact_rank_sum_asl(a: list[float], b: list[float]) -> float:
