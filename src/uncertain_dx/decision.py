@@ -60,7 +60,9 @@ class UtilityMatrix:
         for (i, j), u in self.class_disutility.items():
             if i not in known or j not in known:
                 violations.append(f"disutility entry ({i}, {j}): unknown class")
-            if u < 0.0:
+            if not math.isfinite(u):
+                violations.append(f"disutility entry ({i}, {j}): micromorts {u!r} not finite")
+            elif u < 0.0:
                 violations.append(f"disutility entry ({i}, {j}): negative micromorts {u!r}")
         for i in self.classes:
             for j in self.classes:
@@ -128,6 +130,8 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
     class's expected disutility is computed once, when the scan first
     meets one of its diseases.
     """
+    if not kb.diseases:
+        raise ValueError("knowledge base has no diseases")
     best_id = None
     best = math.inf
     by_class: dict[str, float] = {}
@@ -139,7 +143,7 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
         if expected < best:
             best, best_id = expected, candidate
     if best_id is None:
-        raise ValueError("knowledge base has no diseases")
+        raise ValueError(f"no finite expected disutility among the classes: {by_class}")
     return best_id
 
 

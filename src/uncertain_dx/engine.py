@@ -15,22 +15,27 @@ probabilities p(feature=value | disease).
 
 Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
-once, at normalization.  Each method checks its observations and reads
-every p(obs | d) exactly once, so a case costs O(D*O) for D diseases and
-O observations.  All functions are pure and safe to call concurrently on
-shared immutable inputs.
+once, at normalization.  A calculus's term for one finding depends only
+on the knowledge base, so it is compiled once per (knowledge base,
+calculus, finding) from the p(obs | d) row and memoized on the knowledge
+base.  A case then checks its observations, looks up their terms and
+fsums each disease's column: O(D*O) for D diseases and O observations,
+with no table reads once its findings are compiled.  Results and errors
+are the same as from recomputing every term.  All functions are safe to
+call concurrently on shared knowledge bases.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
     DegeneratePrior,
     EmptyEvidence,
     InconsistentProbabilities,
+    InferenceError,
     UnknownDisease,
     ZeroMarginal,
 )
@@ -55,19 +60,41 @@ __all__ = [
 ]
 
 
-def _rows(kb: KnowledgeBase, observations: Sequence[Observation]) -> list[list[float]]:
-    """Check the observations, then read p(obs | d) once per (obs, disease).
+class _Failure(NamedTuple):  # an error met while compiling, raised where a calculus meets it
+    error: type[Exception]
+    message: str
 
-    Returns one row per observation, in ``kb.diseases`` order.  Every
-    calculus and view reads the table through here and nowhere else.
-    """
+
+# What computing a term may raise: math domain and range errors, and the calculi's own.
+_ERRORS = (InferenceError, ArithmeticError, ValueError)
+
+
+def _compiled(kb: KnowledgeBase, kind: str, observations: Sequence[Observation]) -> list:
+    """Check the observations, then return each one's ``kind`` terms, one per
+    disease.  They are computed from the p(obs | d) row on first use and
+    memoized on the knowledge base, failures too; a failure of a whole
+    tuple is raised once every row has been read."""
     seen: set[str] = set()
     for obs in observations:
         _check_observation(kb, obs, seen)
-    entries = kb.conditionals.entries
-    return [
-        [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases] for obs in observations
-    ]
+    memo = kb.compiled_terms
+    found = []
+    for obs in observations:
+        key = (kind, obs.feature, obs.value)
+        terms = memo.get(key)
+        if terms is None:
+            entries = kb.conditionals.entries
+            row = [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases]
+            try:
+                terms = _COMPILE[kind](kb, obs, row)
+            except _ERRORS as exc:
+                terms = _Failure(type(exc), str(exc))
+            memo[key] = terms
+        found.append(terms)
+    for terms in found:
+        if type(terms) is _Failure:
+            raise terms.error(terms.message)
+    return found
 
 
 def _marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
@@ -104,6 +131,51 @@ def _sigmoid(log_odds: float) -> float:
     return e / (1.0 + e)
 
 
+def _odds_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
+    """log p(obs | d) - log p(obs | not-d) per disease.  -inf marks a zero
+    p(obs | d), which rules d out, and +inf a zero p(obs | not-d), which
+    rules d in; neither arises otherwise.  A prior of one rules d in first."""
+    p_obs = _marginal(kb, row)
+    terms: list = []
+    for d, p in zip(kb.diseases, row):
+        if p == 0.0 or d.prior >= 1.0 - _PRIOR_ONE_TOL:
+            terms.append(-math.inf if p == 0.0 else math.inf)
+            continue
+        try:
+            denom = _negation(p_obs, p, d.prior, obs, d.id)
+            terms.append(math.inf if denom == 0.0 else math.log(p) - math.log(denom))
+        except _ERRORS as exc:
+            terms.append(_Failure(type(exc), str(exc)))
+    return tuple(terms)
+
+
+def _log_complements(masses: Iterable[float]) -> tuple:
+    """log(1 - m) per mass, or -inf for a mass of 1 or more, which is absorbing."""
+    return tuple([-math.inf if m >= 1.0 else math.log1p(-m) for m in masses])
+
+
+def _combined(terms: Sequence[float]) -> float:
+    """1 - prod(1 - m) from the masses' log complements."""
+    return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
+
+
+def _prior_log_odds(prior: float) -> float | _Failure:
+    if prior >= 1.0 - _PRIOR_ONE_TOL:
+        return math.inf  # an exhaustive single hypothesis has infinite prior odds
+    try:
+        return math.log(prior) - math.log1p(-prior)
+    except _ERRORS as exc:
+        return _Failure(type(exc), str(exc))
+
+
+_COMPILE: dict[str, Callable] = {
+    "row": lambda kb, obs, row: tuple(row),
+    "simple_bayes": lambda kb, obs, row: tuple([_log(p) for p in row]),
+    "odds_likelihood": _odds_terms,
+    "naive_dempster_shafer": lambda kb, obs, row: _log_complements(_evoking(kb, obs, row)),
+}
+
+
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Posterior over diseases assuming evidence independent given disease.
 
@@ -112,14 +184,11 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
     the priors.  The result is a genuine probability distribution, so
     pre_norm_sum is 1 by construction.
     """
-    rows = _rows(kb, observations)
-    log_mass: dict[str, float] = {}
-    for i, d in enumerate(kb.diseases):
-        terms = [_log(d.prior)]
-        terms.extend(_log(row[i]) for row in rows)
-        # fsum is order-exact, so permuting the observations cannot move
-        # the result even in the last bit.
-        log_mass[d.id] = math.fsum(terms)
+    priors = [_log(d.prior) for d in kb.diseases]
+    columns = zip(priors, *_compiled(kb, "simple_bayes", observations))
+    # fsum is order-exact, so permuting the observations cannot move the
+    # result even in the last bit.
+    log_mass = {d.id: math.fsum(column) for d, column in zip(kb.diseases, columns)}
 
     peak = max(log_mass.values())
     if peak == -math.inf:
@@ -135,7 +204,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
     """p(obs) = sum over diseases of p(obs | d) * p(d)."""
-    return _marginal(kb, _rows(kb, [obs])[0])
+    return _marginal(kb, _compiled(kb, "row", [obs])[0])
 
 
 def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
@@ -145,7 +214,7 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
     mathematically nonnegative; tiny negatives from rounding are clamped
     to zero, anything larger is reported as an inconsistency.
     """
-    (row,) = _rows(kb, [obs])
+    (row,) = _compiled(kb, "row", [obs])
     disease = kb.disease_index.get(disease_id)
     if disease is None:
         raise UnknownDisease(f"unknown disease '{disease_id}'")
@@ -170,32 +239,26 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     1; if several diseases are infinite together they share the
     renormalized mass equally and every finite disease gets 0.
     """
-    rows = _rows(kb, observations)
-    marginals = [_marginal(kb, row) for row in rows]
+    priors = [_prior_log_odds(d.prior) for d in kb.diseases]
+    columns = zip(priors, *_compiled(kb, "odds_likelihood", observations))
     pre_norm: dict[str, float] = {}
     infinite: list[str] = []
-    for i, d in enumerate(kb.diseases):
-        if any(row[i] == 0.0 for row in rows):
+    for d, column in zip(kb.diseases, columns):  # prior term first
+        if -math.inf in column:
             pre_norm[d.id] = 0.0
             continue
-        if d.prior >= 1.0 - _PRIOR_ONE_TOL:
-            # An exhaustive single hypothesis has infinite prior odds.
-            pre_norm[d.id] = 1.0
-            infinite.append(d.id)
-            continue
-        terms = [math.log(d.prior) - math.log1p(-d.prior)]
-        ruled_in = False
-        for obs, row, p_obs in zip(observations, rows, marginals):
-            denom = _negation(p_obs, row[i], d.prior, obs, d.id)
-            if denom == 0.0:
-                ruled_in = True
-                break
-            terms.append(math.log(row[i]) - math.log(denom))
-        if ruled_in:
-            pre_norm[d.id] = 1.0
-            infinite.append(d.id)
-        else:
-            pre_norm[d.id] = _sigmoid(math.fsum(terms))
+        if math.inf not in column:
+            try:
+                pre_norm[d.id] = _sigmoid(math.fsum(column))
+                continue
+            except TypeError:  # a failure in the column
+                pass
+        # The first failure or +inf decides, as a term-by-term loop would.
+        stop = next(t for t in column if type(t) is _Failure or t == math.inf)
+        if type(stop) is _Failure:
+            raise stop.error(stop.message)
+        pre_norm[d.id] = 1.0
+        infinite.append(d.id)
 
     pre_norm_sum = math.fsum(pre_norm.values())
     if infinite:
@@ -218,7 +281,7 @@ def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
     Bayes' theorem over the exhaustive disease set for one observation.
     The rest of each disease's mass sits on its whole two-element frame.
     """
-    (row,) = _rows(kb, [obs])
+    (row,) = _compiled(kb, "row", [obs])
     return {d.id: m for d, m in zip(kb.diseases, _evoking(kb, obs, row))}
 
 
@@ -238,12 +301,7 @@ def barnett_combine(masses: Iterable[float]) -> float:
     full precision; a mass of 1 is absorbing exactly, and a mass of 0
     leaves the combination exactly unchanged.
     """
-    terms = []
-    for m in masses:
-        if m >= 1.0:
-            return 1.0
-        terms.append(math.log1p(-m))
-    return -math.expm1(math.fsum(terms))
+    return _combined(_log_complements(masses))
 
 
 def naive_dempster_shafer(
@@ -258,7 +316,6 @@ def naive_dempster_shafer(
     """
     if not observations:
         raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
-    rows = _rows(kb, observations)
-    strengths = [_evoking(kb, obs, row) for obs, row in zip(observations, rows)]
-    raw = {d.id: barnett_combine(es[i] for es in strengths) for i, d in enumerate(kb.diseases)}
+    columns = zip(*_compiled(kb, "naive_dempster_shafer", observations))
+    raw = {d.id: _combined(column) for d, column in zip(kb.diseases, columns)}
     return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")

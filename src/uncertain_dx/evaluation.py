@@ -241,8 +241,13 @@ def weighted_mean_sd(values: Sequence[float], weights: Sequence[CaseWeight]) -> 
     if not values:
         raise ValueError("empty sample")
     mean = math.fsum(w.weight * v for v, w in zip(values, weights))
-    variance = math.fsum(w.weight * (v - mean) ** 2 for v, w in zip(values, weights))
-    return mean, math.sqrt(max(variance, 0.0))
+    # A deviation of 2**511 or more may overflow when squared, so scale them all
+    # by 2**-600 and the result back: barring underflow that changes no rounding.
+    shift = 600 if max(abs(v - mean) for v in values) >= 2.0**511 else 0
+    variance = math.fsum(
+        w.weight * math.ldexp(v - mean, -shift) ** 2 for v, w in zip(values, weights)
+    )
+    return mean, math.ldexp(math.sqrt(max(variance, 0.0)), shift)
 
 
 # ---------------------------------------------------------------------------

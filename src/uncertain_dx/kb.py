@@ -7,7 +7,10 @@ p(feature=value | disease).  Case records pair observation sets with
 optional gold-standard distributions and expert ratings.
 
 Everything in this module is immutable after load and safe to share
-across threads.
+across threads.  ``KnowledgeBase.compiled_terms``, the engine's memo, is
+a cache whose entries do not depend on the order they are filled in, so
+sharing stays safe.  Changing ``conditionals.entries`` after the first
+inference is unsupported; build a new one with ``dataclasses.replace``.
 
 File formats (UTF-8 JSON):
 
@@ -92,6 +95,11 @@ class KnowledgeBase:
     def feature_index(self) -> dict[str, Feature]:
         return {f.id: f for f in self.features}
 
+    @cached_property
+    def compiled_terms(self) -> dict[tuple[str, ...], object]:
+        """The engine's per-finding terms, keyed by (calculus or "row", feature, value)."""
+        return {}
+
     def prior(self, disease_id: str) -> float:
         return self.disease_index[disease_id].prior
 
@@ -120,6 +128,8 @@ class BeliefDistribution:
     def __post_init__(self) -> None:
         if self.method not in BELIEF_METHODS:
             raise ValueError(f"unknown belief method tag '{self.method}'")
+        if not math.isfinite(self.pre_norm_sum):
+            raise ValueError(f"pre_norm_sum must be finite, got {self.pre_norm_sum!r}")
         if self.pre_norm_sum < 0:
             raise ValueError("pre_norm_sum must be nonnegative")
         for disease, value in self.beliefs.items():

@@ -15,15 +15,24 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from uncertain_dx.engine import _PRIOR_ONE_TOL
-from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
+from uncertain_dx.engine import _NEGATIVE_NUMERATOR_TOL, _PRIOR_ONE_TOL
+from uncertain_dx.errors import (
+    AllHypothesesRuledOut,
+    DegeneratePrior,
+    EmptyEvidence,
+    InconsistentProbabilities,
+    UnknownDisease,
+    ZeroMarginal,
+)
 from uncertain_dx.evaluation import CaseWeight, _sign_flips
 from uncertain_dx.kb import (
+    BeliefDistribution,
     ConditionalTable,
     Disease,
     Feature,
     KnowledgeBase,
     Observation,
+    _check_observation,
 )
 
 
@@ -225,3 +234,154 @@ def reference_permutation_test(
         if stat >= observed:
             hits += 1
     return (1 + hits) / (1 + iterations)
+
+
+# ---------------------------------------------------------------------------
+# The calculi and views as they read the table before their terms were
+# compiled: one pass over the rows per call, in the same float operations.
+# The reference for the engine's memoized terms, bit for bit.
+
+
+def _reference_rows(kb: KnowledgeBase, observations: Sequence[Observation]) -> list[list[float]]:
+    seen: set[str] = set()
+    for obs in observations:
+        _check_observation(kb, obs, seen)
+    entries = kb.conditionals.entries
+    return [
+        [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases] for obs in observations
+    ]
+
+
+def _reference_marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
+    return min(math.fsum(d.prior * p for d, p in zip(kb.diseases, row)), 1.0)
+
+
+def _reference_negation(p_obs: float, p: float, prior: float, obs: Observation, disease_id: str) -> float:
+    numerator = p_obs - p * prior
+    if numerator < _NEGATIVE_NUMERATOR_TOL:
+        raise InconsistentProbabilities(
+            f"negation conditional numerator {numerator!r} for ('{obs.feature}', '{obs.value}', '{disease_id}')"
+        )
+    return min(max(numerator, 0.0) / (1.0 - prior), 1.0)
+
+
+def _reference_evoking(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> list[float]:
+    weighted = [d.prior * p for d, p in zip(kb.diseases, row)]
+    z = math.fsum(weighted)
+    if z <= 0.0:
+        raise ZeroMarginal(
+            f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability"
+        )
+    return [w / z for w in weighted]
+
+
+def reference_marginal(kb: KnowledgeBase, obs: Observation) -> float:
+    return _reference_marginal(kb, _reference_rows(kb, [obs])[0])
+
+
+def reference_negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
+    (row,) = _reference_rows(kb, [obs])
+    disease = kb.disease_index.get(disease_id)
+    if disease is None:
+        raise UnknownDisease(f"unknown disease '{disease_id}'")
+    if disease.prior >= 1.0 - _PRIOR_ONE_TOL:
+        raise DegeneratePrior(f"disease '{disease_id}' has prior 1; negation is empty")
+    p = row[kb.diseases.index(disease)]
+    return _reference_negation(_reference_marginal(kb, row), p, disease.prior, obs, disease_id)
+
+
+def reference_evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
+    (row,) = _reference_rows(kb, [obs])
+    return {d.id: m for d, m in zip(kb.diseases, _reference_evoking(kb, obs, row))}
+
+
+def _reference_log(p: float) -> float:
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+def _reference_sigmoid(log_odds: float) -> float:
+    if log_odds >= 0.0:
+        return 1.0 / (1.0 + math.exp(-log_odds))
+    e = math.exp(log_odds)
+    return e / (1.0 + e)
+
+
+def reference_simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
+    rows = _reference_rows(kb, observations)
+    log_mass: dict[str, float] = {}
+    for i, d in enumerate(kb.diseases):
+        terms = [_reference_log(d.prior)]
+        terms.extend(_reference_log(row[i]) for row in rows)
+        log_mass[d.id] = math.fsum(terms)
+
+    peak = max(log_mass.values())
+    if peak == -math.inf:
+        raise AllHypothesesRuledOut("every disease has zero posterior mass")
+    unnorm = {d: math.exp(lm - peak) for d, lm in log_mass.items()}
+    z = math.fsum(unnorm.values())
+    return BeliefDistribution(
+        beliefs={d: u / z for d, u in unnorm.items()},
+        pre_norm_sum=1.0,
+        method="simple_bayes",
+    )
+
+
+def reference_odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
+    rows = _reference_rows(kb, observations)
+    marginals = [_reference_marginal(kb, row) for row in rows]
+    pre_norm: dict[str, float] = {}
+    infinite: list[str] = []
+    for i, d in enumerate(kb.diseases):
+        if any(row[i] == 0.0 for row in rows):
+            pre_norm[d.id] = 0.0
+            continue
+        if d.prior >= 1.0 - _PRIOR_ONE_TOL:
+            pre_norm[d.id] = 1.0
+            infinite.append(d.id)
+            continue
+        terms = [math.log(d.prior) - math.log1p(-d.prior)]
+        ruled_in = False
+        for obs, row, p_obs in zip(observations, rows, marginals):
+            denom = _reference_negation(p_obs, row[i], d.prior, obs, d.id)
+            if denom == 0.0:
+                ruled_in = True
+                break
+            terms.append(math.log(row[i]) - math.log(denom))
+        if ruled_in:
+            pre_norm[d.id] = 1.0
+            infinite.append(d.id)
+        else:
+            pre_norm[d.id] = _reference_sigmoid(math.fsum(terms))
+
+    pre_norm_sum = math.fsum(pre_norm.values())
+    if infinite:
+        share = 1.0 / len(infinite)
+        beliefs = {d: (share if d in infinite else 0.0) for d in pre_norm}
+        return BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="odds_likelihood")
+    if pre_norm_sum <= 0.0:
+        raise AllHypothesesRuledOut("every disease has zero posterior odds")
+    return BeliefDistribution(
+        beliefs={d: p / pre_norm_sum for d, p in pre_norm.items()},
+        pre_norm_sum=pre_norm_sum,
+        method="odds_likelihood",
+    )
+
+
+def _reference_barnett(masses) -> float:
+    terms = []
+    for m in masses:
+        if m >= 1.0:
+            return 1.0
+        terms.append(math.log1p(-m))
+    return -math.expm1(math.fsum(terms))
+
+
+def reference_naive_dempster_shafer(
+    kb: KnowledgeBase, observations: Sequence[Observation]
+) -> BeliefDistribution:
+    if not observations:
+        raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
+    rows = _reference_rows(kb, observations)
+    strengths = [_reference_evoking(kb, obs, row) for obs, row in zip(observations, rows)]
+    raw = {d.id: _reference_barnett(es[i] for es in strengths) for i, d in enumerate(kb.diseases)}
+    return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")

@@ -127,6 +127,20 @@ class TestMeuDiagnosis:
         with pytest.raises(UnmappedDisease):
             meu_diagnosis(dist(benign=0.5, lethal=0.5), u, BL_KB)
 
+    def test_no_finite_expected_disutility_named(self):
+        """A table changed to NaN after construction leaves no class to
+        pick; the error says so instead of blaming the knowledge base."""
+        u = matrix(BENIGN_LETHAL.classes, BENIGN_LETHAL.class_disutility, BENIGN_LETHAL.expansion)
+        for key in u.class_disutility:
+            u.class_disutility[key] = math.nan
+        with pytest.raises(ValueError, match="no finite expected disutility.*'b': nan"):
+            meu_diagnosis(dist(benign=0.6, lethal=0.4), u, BL_KB)
+
+    def test_empty_knowledge_base_named(self):
+        empty = KnowledgeBase(diseases=(), features=(), conditionals=ConditionalTable({}))
+        with pytest.raises(ValueError, match="knowledge base has no diseases"):
+            meu_diagnosis(dist(benign=1.0), BENIGN_LETHAL, empty)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_affine_invariance(self, data):
@@ -249,6 +263,11 @@ class TestUtilityMatrixValidation:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             matrix(("a",), {("a", "a"): -1}, {})
+
+    @pytest.mark.parametrize("micromorts", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, micromorts):
+        with pytest.raises(ValidationError, match=r"\(a, b\): micromorts .* not finite"):
+            matrix(("a", "b"), {("a", "a"): 0, ("a", "b"): micromorts, ("b", "a"): 1, ("b", "b"): 0}, {})
 
     def test_expansion_to_unknown_class_rejected(self):
         with pytest.raises(ValidationError, match="unknown class"):

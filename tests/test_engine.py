@@ -23,6 +23,12 @@ from support import (
     kb_with_observations,
     random_kb,
     random_observations,
+    reference_evoking_strength,
+    reference_marginal,
+    reference_naive_dempster_shafer,
+    reference_negation_conditional,
+    reference_odds_likelihood,
+    reference_simple_bayes,
 )
 from uncertain_dx.engine import (
     barnett_combine,
@@ -39,6 +45,7 @@ from uncertain_dx.errors import (
     ConflictingObservations,
     DegeneratePrior,
     EmptyEvidence,
+    InconsistentProbabilities,
     UnknownObservation,
     ZeroMarginal,
 )
@@ -389,8 +396,12 @@ def test_each_likelihood_read_once(method):
     kb = replace(kb, conditionals=ConditionalTable(entries))
     observations = random_observations(rng, kb, 7)
     entries.lookups = 0
-    method(kb, observations)
+    first = method(kb, observations)
     assert entries.lookups == 12 * 7
+    # Each finding's terms are compiled once per knowledge base.
+    entries.lookups = 0
+    assert method(kb, list(reversed(observations))) == first
+    assert entries.lookups == 0
 
 
 def table_kb(priors, tables):
@@ -484,3 +495,110 @@ def test_edge_paths_match_exact_oracles(case, method, oracle):
     assert dist.pre_norm_sum == pytest.approx(pre_norm_sum, rel=1e-10)
     for disease, value in beliefs.items():
         assert abs(dist.beliefs[disease] - value) < 1e-10
+
+
+def _inconsistent_case():
+    """p(v0 | d0) = 1.5 pushes d0's share past the clamped marginal of 1."""
+    return _edge_case((0.9, 0.1), [[(1.5, -0.5), (0.2, 0.8)]])
+
+
+@pytest.mark.parametrize(
+    "method, case, error",
+    [
+        (odds_likelihood, _inconsistent_case, InconsistentProbabilities),
+        (naive_dempster_shafer, EDGE_CASES["zero-marginal"], ZeroMarginal),
+        (lambda kb, obs: evoking_strength(kb, obs[0]), EDGE_CASES["zero-marginal"], ZeroMarginal),
+    ],
+    ids=["odds_likelihood", "naive_dempster_shafer", "evoking_strength"],
+)
+def test_memoized_failure_raises_again(method, case, error):
+    """A failure compiled into a finding's terms is raised on every call
+    that reaches it, with the same message, without reading the table."""
+    kb, observations = case()
+    entries = _CountingEntries(kb.conditionals.entries)
+    kb = replace(kb, conditionals=ConditionalTable(entries))
+    with pytest.raises(error) as first:
+        method(kb, observations)
+    entries.lookups = 0
+    with pytest.raises(error) as second:
+        method(kb, observations)
+    assert str(second.value) == str(first.value)
+    assert entries.lookups == 0
+
+
+def _outcome(compute, *args):
+    """Exception class and message, or every number as float.hex()."""
+    try:
+        result = compute(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    if isinstance(result, float):
+        return result.hex()
+    beliefs = result if isinstance(result, dict) else result.beliefs
+    hexed = [(d, b.hex()) for d, b in beliefs.items()]
+    return hexed if isinstance(result, dict) else (hexed, result.pre_norm_sum.hex(), result.method)
+
+
+# Entries and priors a knowledge base built in code may hold: the limits,
+# values just inside them, and values outside [0, 1].
+_ODD_ENTRIES = (0.0, 1.0, 1e-300, 1.0 - 1e-12, 1.5, -0.5, math.inf, math.nan)
+_ODD_PRIORS = (1.0, 1.0 - 5e-13, 0.0, 0.6, 1.2)
+
+
+def _odd_kb(rng):
+    kb = random_kb(rng, n_diseases=rng.randint(1, 6), n_features=rng.randint(1, 5), max_values=3)
+    entries = dict(kb.conditionals.entries)
+    for key in rng.sample(sorted(entries), min(len(entries), rng.randint(0, 4))):
+        entries[key] = rng.choice(_ODD_ENTRIES)
+    if rng.random() < 0.1:
+        del entries[rng.choice(sorted(entries))]
+    diseases = list(kb.diseases)
+    if rng.random() < 0.3:
+        i = rng.randrange(len(diseases))
+        diseases[i] = replace(diseases[i], prior=rng.choice(_ODD_PRIORS))
+    return replace(kb, diseases=tuple(diseases), conditionals=ConditionalTable(entries))
+
+
+def _odd_case(rng, kb):
+    observations = random_observations(rng, kb, rng.randint(0, len(kb.features)))
+    if observations and rng.random() < 0.15:
+        observations.insert(rng.randrange(len(observations) + 1), rng.choice(observations))
+    if rng.random() < 0.1:
+        observations.insert(rng.randrange(len(observations) + 1), Observation("unknown", "v0"))
+    if rng.random() < 0.1:
+        observations.append(Observation(kb.features[0].id, "unknown"))
+    return observations
+
+
+def test_compiled_terms_match_the_row_by_row_reference():
+    """On 1,236 (knowledge base, case) pairs the three calculi and the three
+    views give the same bits, or the same exception class and message, as
+    the row-by-row reference in support.py.  Every knowledge base serves at
+    least four cases, so most terms come from the memo."""
+    rng = random.Random(2024)
+    knowledge_bases = [random_kb(rng, rng.randint(1, 6), rng.randint(1, 5), 3) for _ in range(125)]
+    knowledge_bases += [_odd_kb(rng) for _ in range(175)]
+    knowledge_bases += [make()[0] for make in EDGE_CASES.values()] + [_inconsistent_case()[0]]
+    calculi = [
+        (simple_bayes, reference_simple_bayes),
+        (odds_likelihood, reference_odds_likelihood),
+        (naive_dempster_shafer, reference_naive_dempster_shafer),
+    ]
+    views = [
+        (marginal, reference_marginal),
+        (evoking_strength, reference_evoking_strength),
+        (negation_conditional, reference_negation_conditional),
+    ]
+    pairs = 0
+    for kb in knowledge_bases:
+        cases = [[Observation(f.id, "v0") for f in kb.features]] + [_odd_case(rng, kb) for _ in range(3)]
+        for observations in cases:
+            pairs += 1
+            for method, reference in calculi:
+                assert _outcome(method, kb, observations) == _outcome(reference, kb, observations)
+            for obs in observations[:2]:
+                disease = rng.choice([d.id for d in kb.diseases] + ["unknown"])
+                for view, reference in views:
+                    args = (kb, obs, disease)[: 3 if view is negation_conditional else 2]
+                    assert _outcome(view, *args) == _outcome(reference, *args)
+    assert pairs >= 1000

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 from itertools import combinations
@@ -144,6 +145,30 @@ class TestWeightedMeanSd:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
             weighted_mean_sd([1.0], uniform_weights(2))
+
+    def test_deviations_too_large_to_square(self):
+        """Squaring 1e160 overflows; the power-of-two scaling gives the
+        exact answer instead."""
+        assert weighted_mean_sd([0.0, 2e160], uniform_weights(2)) == (1e160, 1e160)
+        assert weighted_mean_sd([0.0, 2.0**1023], uniform_weights(2)) == (2.0**1022, 2.0**1022)
+
+    @given(
+        st.lists(st.just(0.0) | st.floats(2.0**-100, 2.0**510), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_leaves_the_bits(self, values, seed):
+        """With normalized weights, as ``case_weights`` makes them: below the
+        threshold nothing is scaled, and above it the scaled result equals
+        the unscaled one computed a power of two lower."""
+        rng = random.Random(seed)
+        raw = [rng.random() + 1e-3 for _ in values]
+        weights = [CaseWeight(f"c{i}", r / math.fsum(raw)) for i, r in enumerate(raw)]
+        mean = math.fsum(w.weight * v for v, w in zip(values, weights))
+        variance = math.fsum(w.weight * (v - mean) ** 2 for v, w in zip(values, weights))
+        assert weighted_mean_sd(values, weights) == (mean, math.sqrt(max(variance, 0.0)))
+        big = [math.ldexp(v, 512) for v in values]
+        sd = math.sqrt(max(variance, 0.0))
+        assert weighted_mean_sd(big, weights) == (math.ldexp(mean, 512), math.ldexp(sd, 512))
 
 
 @st.composite
@@ -305,6 +330,30 @@ class TestEvaluateMethods:
         methods = kwargs.pop("methods")
         gold_source = kwargs.pop("gold_source")
         return evaluate_methods(fixture_kb, fixture_cases, fixture_utilities, methods, gold_source, **kwargs)
+
+    def test_huge_disutilities_give_finite_numbers(self, fixture_kb, fixture_cases, fixture_utilities):
+        """Disutilities built in code may exceed the loader's 1e6 bound; at
+        1e151 times the fixture's the squared deviations overflowed."""
+        huge = UtilityMatrix(
+            classes=fixture_utilities.classes,
+            class_disutility={k: v * 1e151 for k, v in fixture_utilities.class_disutility.items()},
+            expansion=fixture_utilities.expansion,
+        )
+        report = self.run(fixture_kb, fixture_cases, huge)
+        numbers = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    collect(item)
+            elif isinstance(node, float):
+                numbers.append(node)
+
+        collect(json.loads(report.to_json()))
+        assert numbers and all(math.isfinite(x) for x in numbers)
+        assert max(numbers) > 1e155
 
     def test_row_labels_and_order(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)

@@ -156,6 +156,11 @@ class TestBeliefDistribution:
         with pytest.raises(ValueError, match="sum"):
             BeliefDistribution(beliefs={"a": 0.5, "b": 0.4}, pre_norm_sum=0.9, method="external")
 
+    @pytest.mark.parametrize("pre_norm_sum", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pre_norm_sum_rejected(self, pre_norm_sum):
+        with pytest.raises(ValueError, match="pre_norm_sum must be finite"):
+            BeliefDistribution(beliefs={"a": 1.0}, pre_norm_sum=pre_norm_sum, method="external")
+
     def test_unknown_method_tag_rejected(self):
         with pytest.raises(ValueError, match="method"):
             BeliefDistribution(beliefs={"a": 1.0}, pre_norm_sum=1.0, method="guesswork")
