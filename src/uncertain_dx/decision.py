@@ -86,8 +86,8 @@ class MicromortQuote:
     amount: float
 
     def __post_init__(self) -> None:
-        if self.amount < 0.0:
-            raise ValueError(f"micromort amount must be nonnegative, got {self.amount!r}")
+        if not 0.0 <= self.amount < math.inf:
+            raise ValueError(f"micromort amount must be finite and nonnegative, got {self.amount!r}")
 
 
 def max_belief_diagnosis(p: BeliefDistribution) -> str:
@@ -130,8 +130,6 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
     class's expected disutility is computed once, when the scan first
     meets one of its diseases.
     """
-    if not kb.diseases:
-        raise ValueError("knowledge base has no diseases")
     best_id = None
     best = math.inf
     by_class: dict[str, float] = {}
@@ -175,8 +173,10 @@ def wtp_to_micromorts(dollars: float, small_risk_value_of_life: float) -> Microm
         raise NonpositiveValueOfLife(
             f"small-risk value of life must be positive, got {small_risk_value_of_life!r}"
         )
-    if dollars < 0.0:
-        raise ValueError(f"willingness to pay must be nonnegative, got {dollars!r}")
+    if not math.isfinite(small_risk_value_of_life):
+        raise ValueError(f"small-risk value of life must be finite, got {small_risk_value_of_life!r}")
+    if not 0.0 <= dollars < math.inf:
+        raise ValueError(f"willingness to pay must be finite and nonnegative, got {dollars!r}")
     implied_probability = dollars / small_risk_value_of_life
     if implied_probability > LINEAR_RISK_LIMIT:
         warnings.warn(
@@ -195,8 +195,8 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
     existing entry and pricing the difference; this is the arithmetic
     half of that procedure.
     """
-    if base < 0.0:
-        raise ValueError(f"base disutility must be nonnegative, got {base!r}")
+    if not 0.0 <= base < math.inf:
+        raise ValueError(f"base disutility must be finite and nonnegative, got {base!r}")
     return base + delta.amount
 
 

@@ -17,25 +17,27 @@ Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
 once, at normalization.  A calculus's term for one finding depends only
 on the knowledge base, so it is compiled once per (knowledge base,
-calculus, finding) from the p(obs | d) row and memoized on the knowledge
-base.  A case then checks its observations, looks up their terms and
-fsums each disease's column: O(D*O) for D diseases and O observations,
-with no table reads once its findings are compiled.  Results and errors
-are the same as from recomputing every term.  All functions are safe to
-call concurrently on shared knowledge bases.
+calculus, finding) from the p(obs | d) row, which the calculi share, and
+memoized on the knowledge base.  A case then checks its observations,
+looks up their terms and fsums each disease's column: O(D*O) for D
+diseases and O observations, with no table reads once its findings are
+compiled.  Results are the same as from recomputing every term.  All
+functions are safe to call concurrently on shared knowledge bases.
+
+A ``KnowledgeBase`` is valid by construction, so the only errors are
+UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
+ZeroMarginal, EmptyEvidence, UnknownDisease and DegeneratePrior.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
     DegeneratePrior,
     EmptyEvidence,
-    InconsistentProbabilities,
-    InferenceError,
     UnknownDisease,
     ZeroMarginal,
 )
@@ -43,9 +45,6 @@ from .kb import BeliefDistribution, KnowledgeBase, Observation, _check_observati
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
-# Rounding may push the negation-conditional numerator slightly below
-# zero; anything worse than this indicates inconsistent inputs.
-_NEGATIVE_NUMERATOR_TOL = -1e-12
 
 __all__ = [
     "BeliefDistribution",
@@ -60,20 +59,10 @@ __all__ = [
 ]
 
 
-class _Failure(NamedTuple):  # an error met while compiling, raised where a calculus meets it
-    error: type[Exception]
-    message: str
-
-
-# What computing a term may raise: math domain and range errors, and the calculi's own.
-_ERRORS = (InferenceError, ArithmeticError, ValueError)
-
-
 def _compiled(kb: KnowledgeBase, kind: str, observations: Sequence[Observation]) -> list:
     """Check the observations, then return each one's ``kind`` terms, one per
-    disease.  They are computed from the p(obs | d) row on first use and
-    memoized on the knowledge base, failures too; a failure of a whole
-    tuple is raised once every row has been read."""
+    disease, computed on first use from the shared p(obs | d) row and
+    memoized on the knowledge base.  A compile error memoizes only the row."""
     seen: set[str] = set()
     for obs in observations:
         _check_observation(kb, obs, seen)
@@ -83,17 +72,13 @@ def _compiled(kb: KnowledgeBase, kind: str, observations: Sequence[Observation])
         key = (kind, obs.feature, obs.value)
         terms = memo.get(key)
         if terms is None:
-            entries = kb.conditionals.entries
-            row = [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases]
-            try:
-                terms = _COMPILE[kind](kb, obs, row)
-            except _ERRORS as exc:
-                terms = _Failure(type(exc), str(exc))
-            memo[key] = terms
+            row = memo.get(("row", obs.feature, obs.value))
+            if row is None:
+                entries = kb.conditionals.entries
+                row = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
+                memo[("row", obs.feature, obs.value)] = row
+            terms = memo[key] = _COMPILE[kind](kb, obs, row)
         found.append(terms)
-    for terms in found:
-        if type(terms) is _Failure:
-            raise terms.error(terms.message)
     return found
 
 
@@ -101,13 +86,9 @@ def _marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
     return min(math.fsum(d.prior * p for d, p in zip(kb.diseases, row)), 1.0)
 
 
-def _negation(p_obs: float, p: float, prior: float, obs: Observation, disease_id: str) -> float:
-    numerator = p_obs - p * prior
-    if numerator < _NEGATIVE_NUMERATOR_TOL:
-        raise InconsistentProbabilities(
-            f"negation conditional numerator {numerator!r} for ('{obs.feature}', '{obs.value}', '{disease_id}')"
-        )
-    return min(max(numerator, 0.0) / (1.0 - prior), 1.0)
+def _negation(p_obs: float, p: float, prior: float) -> float:
+    # Never negative: p_obs is an fsum of nonnegative terms, p * prior among them, capped at 1.
+    return min((p_obs - p * prior) / (1.0 - prior), 1.0)
 
 
 def _evoking(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> list[float]:
@@ -136,16 +117,13 @@ def _odds_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tu
     p(obs | d), which rules d out, and +inf a zero p(obs | not-d), which
     rules d in; neither arises otherwise.  A prior of one rules d in first."""
     p_obs = _marginal(kb, row)
-    terms: list = []
+    terms = []
     for d, p in zip(kb.diseases, row):
         if p == 0.0 or d.prior >= 1.0 - _PRIOR_ONE_TOL:
             terms.append(-math.inf if p == 0.0 else math.inf)
             continue
-        try:
-            denom = _negation(p_obs, p, d.prior, obs, d.id)
-            terms.append(math.inf if denom == 0.0 else math.log(p) - math.log(denom))
-        except _ERRORS as exc:
-            terms.append(_Failure(type(exc), str(exc)))
+        denom = _negation(p_obs, p, d.prior)
+        terms.append(math.inf if denom == 0.0 else math.log(p) - math.log(denom))
     return tuple(terms)
 
 
@@ -159,17 +137,14 @@ def _combined(terms: Sequence[float]) -> float:
     return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
 
 
-def _prior_log_odds(prior: float) -> float | _Failure:
+def _prior_log_odds(prior: float) -> float:
     if prior >= 1.0 - _PRIOR_ONE_TOL:
         return math.inf  # an exhaustive single hypothesis has infinite prior odds
-    try:
-        return math.log(prior) - math.log1p(-prior)
-    except _ERRORS as exc:
-        return _Failure(type(exc), str(exc))
+    return math.log(prior) - math.log1p(-prior)
 
 
 _COMPILE: dict[str, Callable] = {
-    "row": lambda kb, obs, row: tuple(row),
+    "row": lambda kb, obs, row: row,
     "simple_bayes": lambda kb, obs, row: tuple([_log(p) for p in row]),
     "odds_likelihood": _odds_terms,
     "naive_dempster_shafer": lambda kb, obs, row: _log_complements(_evoking(kb, obs, row)),
@@ -210,9 +185,7 @@ def marginal(kb: KnowledgeBase, obs: Observation) -> float:
 def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
     """p(obs | not-d), derived from the marginal rather than assessed.
 
-    Computed as (p(obs) - p(obs|d) p(d)) / (1 - p(d)).  The numerator is
-    mathematically nonnegative; tiny negatives from rounding are clamped
-    to zero, anything larger is reported as an inconsistency.
+    Computed as (p(obs) - p(obs|d) p(d)) / (1 - p(d)), capped at 1.
     """
     (row,) = _compiled(kb, "row", [obs])
     disease = kb.disease_index.get(disease_id)
@@ -221,7 +194,7 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
     if disease.prior >= 1.0 - _PRIOR_ONE_TOL:
         raise DegeneratePrior(f"disease '{disease_id}' has prior 1; negation is empty")
     p = row[kb.diseases.index(disease)]
-    return _negation(_marginal(kb, row), p, disease.prior, obs, disease_id)
+    return _negation(_marginal(kb, row), p, disease.prior)
 
 
 def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
@@ -243,22 +216,14 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     columns = zip(priors, *_compiled(kb, "odds_likelihood", observations))
     pre_norm: dict[str, float] = {}
     infinite: list[str] = []
-    for d, column in zip(kb.diseases, columns):  # prior term first
+    for d, column in zip(kb.diseases, columns):
         if -math.inf in column:
             pre_norm[d.id] = 0.0
-            continue
-        if math.inf not in column:
-            try:
-                pre_norm[d.id] = _sigmoid(math.fsum(column))
-                continue
-            except TypeError:  # a failure in the column
-                pass
-        # The first failure or +inf decides, as a term-by-term loop would.
-        stop = next(t for t in column if type(t) is _Failure or t == math.inf)
-        if type(stop) is _Failure:
-            raise stop.error(stop.message)
-        pre_norm[d.id] = 1.0
-        infinite.append(d.id)
+        elif math.inf in column:
+            pre_norm[d.id] = 1.0
+            infinite.append(d.id)
+        else:
+            pre_norm[d.id] = _sigmoid(math.fsum(column))
 
     pre_norm_sum = math.fsum(pre_norm.values())
     if infinite:

@@ -83,9 +83,5 @@ class EmptyEvidence(InferenceError):
     """The method requires at least one observation."""
 
 
-class InconsistentProbabilities(InferenceError):
-    """Probability arithmetic produced a value impossible under a coherent model."""
-
-
 class LinearityRangeExceeded(UserWarning):
     """A money/risk trade was converted outside the small-risk linear range."""

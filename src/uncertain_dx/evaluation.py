@@ -43,7 +43,7 @@ from .errors import (
     UnknownDisease,
     ValidationError,
 )
-from .kb import BeliefDistribution, CaseRecord, KnowledgeBase
+from .kb import PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
 
 # Each evaluated method in presentation order: (report label, calculus that
 # produces its distribution, whether it diagnoses by minimum expected
@@ -234,12 +234,15 @@ def weighted_mean_sd(values: Sequence[float], weights: Sequence[CaseWeight]) -> 
     """Weighted mean and weighted population standard deviation.
 
     Weights are normalized relative likelihoods, not repeat counts, so no
-    small-sample correction is applied.
+    small-sample correction is applied; weights not summing to 1 are rejected.
     """
     if len(values) != len(weights):
         raise ValueError(f"{len(values)} values but {len(weights)} weights")
     if not values:
         raise ValueError("empty sample")
+    total = math.fsum(w.weight for w in weights)
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
     mean = math.fsum(w.weight * v for v, w in zip(values, weights))
     # A deviation of 2**511 or more may overflow when squared, so scale them all
     # by 2**-600 and the result back: barring underflow that changes no rounding.

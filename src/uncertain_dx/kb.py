@@ -3,8 +3,10 @@
 The knowledge base holds mutually exclusive and exhaustive disease
 hypotheses with prior probabilities, multi-valued features whose values
 are mutually exclusive and exhaustive, and a dense conditional table
-p(feature=value | disease).  Case records pair observation sets with
-optional gold-standard distributions and expert ratings.
+p(feature=value | disease).  A ``KnowledgeBase`` validates itself on
+construction, loaded or built in code: ``validate_kb`` is its rule, and a
+violation raises ``ValidationError``.  Case records pair observation sets
+with optional gold-standard distributions and expert ratings.
 
 Everything in this module is immutable after load and safe to share
 across threads.  ``KnowledgeBase.compiled_terms``, the engine's memo, is
@@ -86,6 +88,11 @@ class KnowledgeBase:
     diseases: tuple[Disease, ...]
     features: tuple[Feature, ...]
     conditionals: ConditionalTable
+
+    def __post_init__(self) -> None:
+        violations = validate_kb(self)
+        if violations:
+            raise ValidationError(violations)
 
     @cached_property
     def disease_index(self) -> dict[str, Disease]:
@@ -204,7 +211,10 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
     if not kb.diseases:
         violations.append("knowledge base has no diseases")
     else:
-        total = math.fsum(d.prior for d in kb.diseases)
+        try:
+            total = math.fsum(d.prior for d in kb.diseases)
+        except ValueError:  # inf + -inf
+            total = math.nan
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             violations.append(f"disease priors must sum to 1 (got {total!r})")
 
@@ -254,7 +264,10 @@ def _table_violations(
             if len(row) != len(f.values):
                 violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
                 continue
-            s = math.fsum(row)
+            try:
+                s = math.fsum(row)
+            except ValueError:  # inf + -inf
+                s = math.nan
             if abs(s - 1.0) > PROB_SUM_TOL:
                 violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
     return violations
@@ -388,15 +401,11 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
         for value, p in probs.items():
             entries[(feat, value, dis)] = _number(p, f"{where}.probs['{value}']")
 
-    kb = KnowledgeBase(
+    return KnowledgeBase(
         diseases=tuple(diseases),
         features=tuple(features),
         conditionals=ConditionalTable(entries),
     )
-    violations = validate_kb(kb)
-    if violations:
-        raise ValidationError(violations)
-    return kb
 
 
 def serialize_kb(kb: KnowledgeBase) -> bytes:

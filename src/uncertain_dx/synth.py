@@ -28,7 +28,7 @@ from .kb import (
     Feature,
     KnowledgeBase,
     Observation,
-    validate_kb,
+    validate_kb,  # unused here; bench/spans.py patches synth.validate_kb by name
 )
 
 # The oracle exists to be trusted, so it stays small and simple.
@@ -91,9 +91,6 @@ def replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, 
             entries[(feature.id, "present", disease.id)] = likelihood
             entries[(feature.id, "absent", disease.id)] = 1.0 - likelihood
     kb = KnowledgeBase(diseases=diseases, features=features, conditionals=ConditionalTable(entries))
-    violations = validate_kb(kb)
-    if violations:  # construction bug, not user error
-        raise AssertionError(f"generated knowledge base invalid: {violations}")
     observations = [Observation(feature=f.id, value="present") for f in features]
     return kb, observations
 

@@ -15,12 +15,12 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from uncertain_dx.engine import _NEGATIVE_NUMERATOR_TOL, _PRIOR_ONE_TOL
+from uncertain_dx.engine import _PRIOR_ONE_TOL
 from uncertain_dx.errors import (
     AllHypothesesRuledOut,
     DegeneratePrior,
     EmptyEvidence,
-    InconsistentProbabilities,
+    InferenceError,
     UnknownDisease,
     ZeroMarginal,
 )
@@ -240,6 +240,17 @@ def reference_permutation_test(
 # The calculi and views as they read the table before their terms were
 # compiled: one pass over the rows per call, in the same float operations.
 # The reference for the engine's memoized terms, bit for bit.
+#
+# The numerator check below is the old engine's.  The engine has none: a
+# knowledge base is valid by construction, and on a valid table the
+# numerator is never negative.  So the reference keeps its own copies of
+# the names the check uses.
+
+_NEGATIVE_NUMERATOR_TOL = -1e-12
+
+
+class InconsistentProbabilities(InferenceError):
+    """Probability arithmetic produced a value impossible under a coherent model."""
 
 
 def _reference_rows(kb: KnowledgeBase, observations: Sequence[Observation]) -> list[list[float]]:

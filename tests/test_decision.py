@@ -137,9 +137,9 @@ class TestMeuDiagnosis:
             meu_diagnosis(dist(benign=0.6, lethal=0.4), u, BL_KB)
 
     def test_empty_knowledge_base_named(self):
-        empty = KnowledgeBase(diseases=(), features=(), conditionals=ConditionalTable({}))
-        with pytest.raises(ValueError, match="knowledge base has no diseases"):
-            meu_diagnosis(dist(benign=1.0), BENIGN_LETHAL, empty)
+        """No knowledge base without diseases reaches the decision rule."""
+        with pytest.raises(ValidationError, match="knowledge base has no diseases"):
+            KnowledgeBase(diseases=(), features=(), conditionals=ConditionalTable({}))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -353,3 +353,22 @@ class TestOffdiagonalAdjust:
     def test_negative_quote_rejected(self):
         with pytest.raises(ValueError):
             MicromortQuote(-0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MicromortQuote(math.nan),
+        lambda: MicromortQuote(math.inf),
+        lambda: wtp_to_micromorts(math.nan, 1e6),
+        lambda: wtp_to_micromorts(10.0, math.nan),
+        lambda: wtp_to_micromorts(10.0, math.inf),
+        lambda: offdiagonal_adjust(math.nan, MicromortQuote(1.0)),
+        lambda: offdiagonal_adjust(math.inf, MicromortQuote(1.0)),
+    ],
+    ids=["quote-nan", "quote-inf", "wtp-nan-dollars", "wtp-nan-value-of-life",
+         "wtp-infinite-value-of-life", "adjust-nan-base", "adjust-infinite-base"],
+)
+def test_non_finite_micromort_inputs_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()

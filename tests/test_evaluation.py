@@ -146,6 +146,14 @@ class TestWeightedMeanSd:
         with pytest.raises(ValueError, match="weights"):
             weighted_mean_sd([1.0], uniform_weights(2))
 
+    def test_weights_not_summing_to_one_rejected(self):
+        """Eight weights of 1 would overflow the deviation scaling, which
+        assumes normalized weights; the sum is rejected instead."""
+        values = [0.0] * 4 + [1.9 * 2.0**508] * 4
+        weights = [CaseWeight(f"c{i}", 1.0) for i in range(8)]
+        with pytest.raises(ValueError, match=r"weights sum to 8\.0, expected 1"):
+            weighted_mean_sd(values, weights)
+
     def test_deviations_too_large_to_square(self):
         """Squaring 1e160 overflows; the power-of-two scaling gives the
         exact answer instead."""

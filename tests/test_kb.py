@@ -41,7 +41,7 @@ def kb_bytes(doc) -> bytes:
 
 
 def build_kb(priors, rows, values=("v1", "v2")) -> KnowledgeBase:
-    """Direct construction helper bypassing file validation."""
+    """Direct construction helper; the knowledge base validates itself."""
     diseases = tuple(
         Disease(id=f"d{i}", name=f"d{i}", prior=p, equivalence_class="c") for i, p in enumerate(priors)
     )
@@ -96,40 +96,57 @@ class TestValidateKb:
         assert validate_kb(kb) == []
 
     def test_row_sum_violation_names_the_pair(self):
-        kb = build_kb([0.5, 0.5], [[0.75, 0.2], [0.2, 0.8]])
-        violations = validate_kb(kb)
+        with pytest.raises(ValidationError) as raised:
+            build_kb([0.5, 0.5], [[0.75, 0.2], [0.2, 0.8]])
+        violations = raised.value.violations
         assert len(violations) == 1
         assert "f1" in violations[0] and "d0" in violations[0]
 
     def test_duplicate_disease_id(self):
         kb = build_kb([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
-        dupe = KnowledgeBase(
-            diseases=(kb.diseases[0], kb.diseases[0]),
-            features=kb.features,
-            conditionals=kb.conditionals,
-        )
-        assert any("duplicate id" in v for v in validate_kb(dupe))
+        with pytest.raises(ValidationError) as raised:
+            KnowledgeBase(
+                diseases=(kb.diseases[0], kb.diseases[0]),
+                features=kb.features,
+                conditionals=kb.conditionals,
+            )
+        assert any("duplicate id" in v for v in raised.value.violations)
 
     def test_zero_prior_rejected(self):
-        kb = build_kb([1.0, 0.0], [[0.8, 0.2], [0.2, 0.8]])
-        assert any("strictly positive" in v for v in validate_kb(kb))
+        with pytest.raises(ValidationError) as raised:
+            build_kb([1.0, 0.0], [[0.8, 0.2], [0.2, 0.8]])
+        assert any("strictly positive" in v for v in raised.value.violations)
 
     def test_nan_prior_rejected(self):
-        kb = build_kb([math.nan, 0.5], [[0.8, 0.2], [0.2, 0.8]])
-        violations = validate_kb(kb)
-        assert "disease 'd0': prior must be strictly positive" in violations
-        assert "disease priors must sum to 1 (got nan)" in violations
+        with pytest.raises(ValidationError) as raised:
+            build_kb([math.nan, 0.5], [[0.8, 0.2], [0.2, 0.8]])
+        assert "disease 'd0': prior must be strictly positive" in raised.value.violations
+        assert "disease priors must sum to 1 (got nan)" in raised.value.violations
+
+    def test_opposite_infinities_rejected(self):
+        """math.fsum raises on inf + -inf; the sums read as nan instead."""
+        with pytest.raises(ValidationError) as raised:
+            build_kb([math.inf, -math.inf], [[math.inf, -math.inf], [0.2, 0.8]])
+        assert raised.value.violations == [
+            "disease 'd0': prior inf exceeds 1",
+            "disease 'd1': prior must be strictly positive",
+            "disease priors must sum to 1 (got nan)",
+            "conditional (f1, v1, d0): probability inf outside [0, 1]",
+            "conditional (f1, v2, d0): probability -inf outside [0, 1]",
+        ]
 
     def test_single_valued_feature_rejected(self):
-        kb = build_kb([0.5, 0.5], [[1.0], [1.0]], values=("v1",))
-        assert any("at least 2 values" in v for v in validate_kb(kb))
+        with pytest.raises(ValidationError) as raised:
+            build_kb([0.5, 0.5], [[1.0], [1.0]], values=("v1",))
+        assert any("at least 2 values" in v for v in raised.value.violations)
 
     def test_missing_conditional_entry(self):
         kb = build_kb([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]])
         entries = dict(kb.conditionals.entries)
         del entries[("f1", "v1", "d1")]
-        holey = KnowledgeBase(kb.diseases, kb.features, ConditionalTable(entries))
-        assert any("missing value entries" in v for v in validate_kb(holey))
+        with pytest.raises(ValidationError) as raised:
+            KnowledgeBase(kb.diseases, kb.features, ConditionalTable(entries))
+        assert any("missing value entries" in v for v in raised.value.violations)
 
     @settings(max_examples=50, deadline=None)
     @given(knowledge_bases())
