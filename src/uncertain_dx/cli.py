@@ -22,9 +22,8 @@ from typing import Callable, Sequence
 from . import engine, evaluation, synth
 from .decision import UtilityMatrix, load_utilities, utility_coverage_violations
 from .errors import InferenceError, InputError, ValidationError
-from .kb import CaseRecord, KnowledgeBase, Observation, load_cases, load_kb
+from .kb import CALCULI, CaseRecord, KnowledgeBase, Observation, load_cases, load_kb
 
-INFER_METHODS = evaluation.DISTRIBUTION_METHODS
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFERENCE = 3
@@ -123,7 +122,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     else:
         observations = _parse_observations(args.observations)
 
-    methods = _parse_methods(args.methods, INFER_METHODS)
+    methods = _parse_methods(args.methods, CALCULI)
     results = []
     for method in methods:
         dist = getattr(engine, method)(kb, observations)
@@ -215,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_infer.add_argument(
         "--methods",
-        default=",".join(INFER_METHODS),
-        help=f"comma-separated subset of: {', '.join(INFER_METHODS)}",
+        default=",".join(CALCULI),
+        help=f"comma-separated subset of: {', '.join(CALCULI)}",
     )
     p_infer.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_infer.add_argument("--out", help="write output to this path instead of stdout")
@@ -269,10 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InferenceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFERENCE
-    except (InputError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

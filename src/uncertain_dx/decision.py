@@ -164,10 +164,10 @@ def expand_utilities(utilities: UtilityMatrix, kb: KnowledgeBase) -> dict[tuple[
 def wtp_to_micromorts(dollars: float, small_risk_value_of_life: float) -> MicromortQuote:
     """Convert a willingness-to-pay amount into micromorts.
 
-    Uses the linear small-risk trade: at a small-risk value of life V,
-    money and death risk exchange at V / 1,000,000 dollars per
-    micromort.  Warns (without failing) when the implied death
-    probability exceeds the linear range of 0.001.
+    At a small-risk value of life V, money and death risk trade linearly
+    at V / 1,000,000 dollars per micromort; a V too small to price the
+    amount in finite micromorts is rejected.  Warns (without failing) when
+    the implied death probability exceeds the linear range of 0.001.
     """
     if small_risk_value_of_life <= 0.0:
         raise NonpositiveValueOfLife(
@@ -177,6 +177,12 @@ def wtp_to_micromorts(dollars: float, small_risk_value_of_life: float) -> Microm
         raise ValueError(f"small-risk value of life must be finite, got {small_risk_value_of_life!r}")
     if not 0.0 <= dollars < math.inf:
         raise ValueError(f"willingness to pay must be finite and nonnegative, got {dollars!r}")
+    per_micromort = small_risk_value_of_life / 1e6
+    amount = dollars / per_micromort if per_micromort > 0.0 else math.inf
+    if amount == math.inf:
+        raise ValueError(
+            f"cannot price {dollars!r} dollars at a small-risk value of life of {small_risk_value_of_life!r}"
+        )
     implied_probability = dollars / small_risk_value_of_life
     if implied_probability > LINEAR_RISK_LIMIT:
         warnings.warn(
@@ -185,7 +191,7 @@ def wtp_to_micromorts(dollars: float, small_risk_value_of_life: float) -> Microm
             LinearityRangeExceeded,
             stacklevel=2,
         )
-    return MicromortQuote(amount=dollars / (small_risk_value_of_life / 1e6))
+    return MicromortQuote(amount=amount)
 
 
 def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
@@ -197,7 +203,10 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
     """
     if not 0.0 <= base < math.inf:
         raise ValueError(f"base disutility must be finite and nonnegative, got {base!r}")
-    return base + delta.amount
+    adjusted = base + delta.amount
+    if adjusted == math.inf:
+        raise ValueError(f"adjusted disutility must be finite, got {base!r} + {delta.amount!r}")
+    return adjusted
 
 
 # ---------------------------------------------------------------------------

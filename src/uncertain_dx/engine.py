@@ -41,43 +41,39 @@ from .errors import (
     UnknownDisease,
     ZeroMarginal,
 )
-from .kb import BeliefDistribution, KnowledgeBase, Observation, _check_observation
+from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
 
-__all__ = [
-    "BeliefDistribution",
-    "simple_bayes",
-    "marginal",
-    "negation_conditional",
-    "odds_likelihood",
-    "evoking_strength",
-    "naive_dempster_shafer",
-    "cf_parallel_combine",
-    "barnett_combine",
-]
+
+def _row(kb: KnowledgeBase, obs: Observation) -> tuple:
+    """The p(obs | d) row, one entry per disease, that the calculi compile their
+    terms from: read on first use, after checking ``obs``, and memoized."""
+    key = ("row", obs.feature, obs.value)
+    row = kb.compiled_terms.get(key)
+    if row is None:
+        _check_observation(kb, obs, set())
+        entries = kb.conditionals.entries
+        row = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
+        kb.compiled_terms[key] = row
+    return row
 
 
-def _compiled(kb: KnowledgeBase, kind: str, observations: Sequence[Observation]) -> list:
-    """Check the observations, then return each one's ``kind`` terms, one per
-    disease, computed on first use from the shared p(obs | d) row and
-    memoized on the knowledge base.  A compile error memoizes only the row."""
+def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
+    """Check the observations, then return each one's ``calculus`` terms, one
+    per disease, computed on first use from its row and memoized on the
+    knowledge base.  A compile error memoizes only the row."""
     seen: set[str] = set()
     for obs in observations:
         _check_observation(kb, obs, seen)
     memo = kb.compiled_terms
     found = []
     for obs in observations:
-        key = (kind, obs.feature, obs.value)
+        key = (calculus, obs.feature, obs.value)
         terms = memo.get(key)
         if terms is None:
-            row = memo.get(("row", obs.feature, obs.value))
-            if row is None:
-                entries = kb.conditionals.entries
-                row = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
-                memo[("row", obs.feature, obs.value)] = row
-            terms = memo[key] = _COMPILE[kind](kb, obs, row)
+            terms = memo[key] = _COMPILE[calculus](kb, obs, _row(kb, obs))
         found.append(terms)
     return found
 
@@ -112,7 +108,11 @@ def _sigmoid(log_odds: float) -> float:
     return e / (1.0 + e)
 
 
-def _odds_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
+def _simple_bayes_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
+    return tuple([_log(p) for p in row])
+
+
+def _odds_likelihood_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
     """log p(obs | d) - log p(obs | not-d) per disease.  -inf marks a zero
     p(obs | d), which rules d out, and +inf a zero p(obs | not-d), which
     rules d in; neither arises otherwise.  A prior of one rules d in first."""
@@ -132,6 +132,10 @@ def _log_complements(masses: Iterable[float]) -> tuple:
     return tuple([-math.inf if m >= 1.0 else math.log1p(-m) for m in masses])
 
 
+def _naive_dempster_shafer_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
+    return _log_complements(_evoking(kb, obs, row))
+
+
 def _combined(terms: Sequence[float]) -> float:
     """1 - prod(1 - m) from the masses' log complements."""
     return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
@@ -143,12 +147,8 @@ def _prior_log_odds(prior: float) -> float:
     return math.log(prior) - math.log1p(-prior)
 
 
-_COMPILE: dict[str, Callable] = {
-    "row": lambda kb, obs, row: row,
-    "simple_bayes": lambda kb, obs, row: tuple([_log(p) for p in row]),
-    "odds_likelihood": _odds_terms,
-    "naive_dempster_shafer": lambda kb, obs, row: _log_complements(_evoking(kb, obs, row)),
-}
+# Each calculus's term compiler, found by name, so CALCULI alone sets the keys and their order.
+_COMPILE: dict[str, Callable] = {name: globals()[f"_{name}_terms"] for name in CALCULI}
 
 
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
@@ -179,7 +179,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
     """p(obs) = sum over diseases of p(obs | d) * p(d)."""
-    return _marginal(kb, _compiled(kb, "row", [obs])[0])
+    return _marginal(kb, _row(kb, obs))
 
 
 def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
@@ -187,7 +187,7 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
 
     Computed as (p(obs) - p(obs|d) p(d)) / (1 - p(d)), capped at 1.
     """
-    (row,) = _compiled(kb, "row", [obs])
+    row = _row(kb, obs)
     disease = kb.disease_index.get(disease_id)
     if disease is None:
         raise UnknownDisease(f"unknown disease '{disease_id}'")
@@ -229,14 +229,11 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     if infinite:
         share = 1.0 / len(infinite)
         beliefs = {d: (share if d in infinite else 0.0) for d in pre_norm}
-        return BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="odds_likelihood")
-    if pre_norm_sum <= 0.0:
+    elif pre_norm_sum > 0.0:
+        beliefs = {d: p / pre_norm_sum for d, p in pre_norm.items()}
+    else:
         raise AllHypothesesRuledOut("every disease has zero posterior odds")
-    return BeliefDistribution(
-        beliefs={d: p / pre_norm_sum for d, p in pre_norm.items()},
-        pre_norm_sum=pre_norm_sum,
-        method="odds_likelihood",
-    )
+    return BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="odds_likelihood")
 
 
 def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
@@ -246,7 +243,7 @@ def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
     Bayes' theorem over the exhaustive disease set for one observation.
     The rest of each disease's mass sits on its whole two-element frame.
     """
-    (row,) = _compiled(kb, "row", [obs])
+    row = _row(kb, obs)
     return {d.id: m for d, m in zip(kb.diseases, _evoking(kb, obs, row))}
 
 

@@ -43,7 +43,7 @@ from .errors import (
     UnknownDisease,
     ValidationError,
 )
-from .kb import PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
+from .kb import CALCULI, PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
 
 # Each evaluated method in presentation order: (report label, calculus that
 # produces its distribution, whether it diagnoses by minimum expected
@@ -57,12 +57,7 @@ METHODS = {
 }
 EVAL_METHODS = tuple(METHODS)
 
-_INFERENCE = {
-    "simple_bayes": engine.simple_bayes,
-    "odds_likelihood": engine.odds_likelihood,
-    "naive_dempster_shafer": engine.naive_dempster_shafer,
-}
-DISTRIBUTION_METHODS = tuple(_INFERENCE)
+_INFERENCE = {name: getattr(engine, name) for name in CALCULI}
 
 
 def check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
@@ -437,7 +432,7 @@ def evaluate_methods(
     check_methods(methods, EVAL_METHODS)
     ordered_methods = [m for m in METHODS if m in methods]
     calculi = {METHODS[m][1] for m in ordered_methods}
-    needed_dists = [d for d in DISTRIBUTION_METHODS if d in calculi]
+    needed_dists = [d for d in CALCULI if d in calculi]
 
     ordered_cases = sorted(cases, key=lambda c: c.id)
     for case in ordered_cases:
@@ -450,15 +445,12 @@ def evaluate_methods(
     included: list[CaseRecord] = []
     for case in ordered_cases:
         per_case: dict[str, BeliefDistribution] = {}
-        failure = None
         for dist_method in needed_dists:
             try:
                 per_case[dist_method] = _INFERENCE[dist_method](kb, case.observations)
             except InferenceError as exc:
-                failure = Exclusion(case.id, f"{dist_method}: {type(exc).__name__}")
+                exclusions.append(Exclusion(case.id, f"{dist_method}: {type(exc).__name__}"))
                 break
-        if failure is not None:
-            exclusions.append(failure)
         else:
             distributions[case.id] = per_case
             included.append(case)

@@ -55,7 +55,9 @@ from .errors import (
 PROB_SUM_TOL = 1e-9
 GOLD_SUM_TOL = 1e-6
 
-BELIEF_METHODS = ("simple_bayes", "odds_likelihood", "naive_dempster_shafer", "external")
+# The three calculi, in the order every method list, table and report uses.
+CALCULI = ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
+BELIEF_METHODS = (*CALCULI, "external")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from .kb import (
+    CALCULI,
     PROB_SUM_TOL,
     BeliefDistribution,
     ConditionalTable,
@@ -155,7 +156,7 @@ def probe_tsv(points: Sequence[ProbePoint]) -> str:
     """Trajectory as TSV with columns n, method, disease, belief."""
     lines = ["n\tmethod\tdisease\tbelief"]
     for point in points:
-        for method in ("simple_bayes", "odds_likelihood", "naive_dempster_shafer"):
+        for method in CALCULI:
             dist: BeliefDistribution = getattr(point, method)
             for disease, belief in dist.beliefs.items():
                 lines.append(f"{point.n}\t{method}\t{disease}\t{belief:.6f}")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +315,25 @@ class TestWtpToMicromorts:
         wtp_to_micromorts(100_000.0, 100_000_000.0)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("dollars, value_of_life", [(10.0, 5e-324), (0.0, 5e-324), (10.0, 1e-310)])
+    def test_subnormal_value_of_life_rejected_before_any_warning(self, dollars, value_of_life, recwarn):
+        """A micromort's price, V / 1e6, underflows to 0 or leaves the quote infinite."""
+        with pytest.raises(ValueError, match=re.escape(f"small-risk value of life of {value_of_life!r}")) as info:
+            wtp_to_micromorts(dollars, value_of_life)
+        assert "\n" not in str(info.value)
+        assert not recwarn.list
+
+    @pytest.mark.filterwarnings("ignore::uncertain_dx.errors.LinearityRangeExceeded")
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e300), st.floats(sys.float_info.min, 1e300))
+    def test_normal_inputs_keep_their_bits(self, dollars, value_of_life):
+        expected = dollars / (value_of_life / 1e6)
+        if math.isinf(expected):
+            with pytest.raises(ValueError, match="cannot price"):
+                wtp_to_micromorts(dollars, value_of_life)
+        else:
+            assert wtp_to_micromorts(dollars, value_of_life).amount == expected
+
     @pytest.mark.filterwarnings("ignore::uncertain_dx.errors.LinearityRangeExceeded")
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 20))
@@ -349,6 +370,10 @@ class TestOffdiagonalAdjust:
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
             offdiagonal_adjust(-1.0, MicromortQuote(0.0))
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="adjusted disutility must be finite"):
+            offdiagonal_adjust(1e308, MicromortQuote(1e308))
 
     def test_negative_quote_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from uncertain_dx.decision import UtilityMatrix, max_belief_diagnosis, meu_diagn
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
     MissingGoldStandard,
+    UncertainDxError,
     MissingRatings,
     MissingTrueDiagnosis,
 )
@@ -40,6 +41,29 @@ from uncertain_dx.kb import (
     KnowledgeBase,
     Observation,
 )
+
+
+MAX_FLOAT = 1.7976931348623157e308
+EDGE_MICROMORTS = (0.0, 5e-324, 1e-310, 1.0, 1e6, 1e300, 1.7e302, MAX_FLOAT)
+BAD_MICROMORTS = (-1.0, -5e-324, math.inf, math.nan)
+MICROMORTS = st.sampled_from(EDGE_MICROMORTS + BAD_MICROMORTS) | st.floats(0.0, MAX_FLOAT)
+
+
+def report_numbers(report: evaluation.EvaluationReport) -> list[float]:
+    """Every float in the report's JSON rendering."""
+    numbers = []
+
+    def collect(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                collect(item)
+        elif isinstance(node, float):
+            numbers.append(node)
+
+    collect(json.loads(report.to_json()))
+    return numbers
 
 
 def dist(**beliefs) -> BeliefDistribution:
@@ -348,20 +372,53 @@ class TestEvaluateMethods:
             expansion=fixture_utilities.expansion,
         )
         report = self.run(fixture_kb, fixture_cases, huge)
-        numbers = []
-
-        def collect(node):
-            if isinstance(node, dict):
-                node = list(node.values())
-            if isinstance(node, list):
-                for item in node:
-                    collect(item)
-            elif isinstance(node, float):
-                numbers.append(node)
-
-        collect(json.loads(report.to_json()))
+        numbers = report_numbers(report)
         assert numbers and all(math.isfinite(x) for x in numbers)
         assert max(numbers) > 1e155
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(MICROMORTS, min_size=9, max_size=9),
+        tie=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        scale=st.none() | st.sampled_from(EDGE_MICROMORTS),
+    )
+    @example(values=[0.0 if i == j else MAX_FLOAT for i in range(3) for j in range(3)], tie=None, scale=None)
+    @example(values=[0.0] * 9, tie=None, scale=1e300)
+    @example(values=[0.0] * 9, tie=None, scale=1.7e302)
+    @example(values=[0.0] * 9, tie=None, scale=5e-324)
+    @example(values=[0.0] * 9, tie=None, scale=0.0)
+    @example(values=[0.0] * 9, tie=(0, 2), scale=MAX_FLOAT)
+    def test_code_built_utilities_are_rejected_or_reported(
+        self, fixture_kb, fixture_cases, fixture_utilities, values, tie, scale
+    ):
+        """Any code-built utility matrix over the fixture's classes either
+        raises an error naming a bad value or gives a finite, well-formed
+        report.  ``scale`` multiplies the fixture's own table instead of
+        using ``values``; ``tie`` copies one diagnosed-class column onto another."""
+        classes = fixture_utilities.classes
+        pairs = [(i, j) for i in classes for j in classes]
+        table = dict(zip(pairs, values))
+        if scale is not None:
+            table = {pair: fixture_utilities.class_disutility[pair] * scale for pair in pairs}
+        if tie is not None:
+            source, target = classes[tie[0]], classes[tie[1]]
+            for true_class in classes:
+                table[(true_class, target)] = table[(true_class, source)]
+        try:
+            utilities = UtilityMatrix(classes, table, fixture_utilities.expansion)
+            report = self.run(fixture_kb, fixture_cases, utilities, iterations=1000)
+        except (UncertainDxError, ValueError) as exc:
+            message = str(exc)
+            assert "\n" not in message
+            assert any(repr(v) in message for v in table.values() if not 0.0 <= v < math.inf), message
+            return
+        assert all(0.0 <= v < math.inf for v in table.values())
+        assert all(math.isfinite(x) for x in report_numbers(report))
+        sections = report.to_tsv().split("\n[")
+        assert [section.split("]", 1)[0].lstrip("[") for section in sections] == list(evaluation.REPORT_COLUMNS)
+        for section in sections:
+            header, *rows = section.rstrip("\n").split("\n")[1:]
+            assert all(len(row.split("\t")) == len(header.split("\t")) for row in rows)
 
     def test_row_labels_and_order(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)

@@ -1,0 +1,57 @@
+"""The calculus registry: ``kb.CALCULI`` names the three calculi once, and
+every method list, table and output column follows it in order."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+from uncertain_dx import engine, evaluation, synth
+from uncertain_dx.cli import main
+from uncertain_dx.kb import BELIEF_METHODS, CALCULI
+
+DATA = Path(__file__).parent / "data"
+KB, CASES = str(DATA / "fixture_kb.json"), str(DATA / "fixture_cases.json")
+
+
+def test_tables_follow_calculi():
+    assert CALCULI == ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
+    assert engine.CALCULI is CALCULI
+    assert BELIEF_METHODS == (*CALCULI, "external")
+    assert list(engine._COMPILE) == list(CALCULI)
+    assert list(evaluation._INFERENCE) == list(CALCULI)
+    assert [f.name for f in dataclasses.fields(synth.ProbePoint)] == ["n", *CALCULI]
+
+
+def test_every_calculus_is_an_evaluated_method_of_its_own():
+    """Expert-rating rows take their labels from these entries."""
+    for name in CALCULI:
+        label, calculus, uses_meu = evaluation.METHODS[name]
+        assert (calculus, uses_meu) == (name, False)
+        assert label
+    assert {calculus for _, calculus, _ in evaluation.METHODS.values()} == set(CALCULI)
+
+
+def test_infer_defaults_and_help_follow_calculi(capsys):
+    assert main(["infer", "--kb", KB, "--cases", CASES, "--case", "c1", "--format", "json"]) == 0
+    assert [entry["method"] for entry in json.loads(capsys.readouterr().out)] == list(CALCULI)
+
+    assert main(["infer", "--kb", KB, "--cases", CASES, "--case", "c1"]) == 0
+    headers = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    assert headers == list(CALCULI)
+
+    try:
+        main(["infer", "--help"])
+    except SystemExit as exit_:
+        assert exit_.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"comma-separated subset of: {', '.join(CALCULI)}" in help_text
+
+
+def test_probe_method_column_follows_calculi_at_every_step():
+    spec = synth.ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=1)
+    rows = [line.split("\t") for line in synth.probe_tsv(synth.convergence_probe(spec, 4)).splitlines()[1:]]
+    for n in range(1, 5):
+        methods = [method for step, method, _, _ in rows if step == str(n)]
+        assert methods == [name for name in CALCULI for _ in range(3)]
