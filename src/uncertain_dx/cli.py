@@ -17,12 +17,12 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from . import engine, evaluation, synth
 from .decision import UtilityMatrix, load_utilities, utility_coverage_violations
 from .errors import InferenceError, InputError, ValidationError
-from .kb import CALCULI, CaseRecord, KnowledgeBase, Observation, load_cases, load_kb
+from .kb import CALCULI, GOLD_SOURCES, CaseRecord, KnowledgeBase, Observation, load_cases, load_kb
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,7 +49,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _parse_methods(raw: str, allowed: Sequence[str]) -> list[str]:
+def _parse_methods(raw: str, allowed: Collection[str]) -> list[str]:
     methods = [m.strip() for m in raw.split(",") if m.strip()]
     evaluation.check_methods(methods, allowed)
     return methods
@@ -152,7 +152,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     cases = load_cases(args.cases, kb)
     utilities = _load_utilities(args.utilities, kb)
-    methods = _parse_methods(args.methods, evaluation.EVAL_METHODS)
+    methods = _parse_methods(args.methods, evaluation.METHODS)
     report = evaluation.evaluate_methods(
         kb,
         cases,
@@ -232,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--utilities", required=True, help="utility-model JSON file")
     p_eval.add_argument(
         "--methods",
-        default=",".join(evaluation.EVAL_METHODS),
-        help=f"comma-separated subset of: {', '.join(evaluation.EVAL_METHODS)}",
+        default=",".join(evaluation.METHODS),
+        help=f"comma-separated subset of: {', '.join(evaluation.METHODS)}",
     )
-    p_eval.add_argument("--gold", choices=tuple(evaluation.GOLD_ROW_LABELS), default="informed")
+    p_eval.add_argument("--gold", choices=GOLD_SOURCES, default="informed")
     p_eval.add_argument(
         "--seed",
         type=int,

@@ -36,7 +36,9 @@ from .errors import (
     UnmappedDisease,
     ValidationError,
 )
-from .kb import BeliefDistribution, KnowledgeBase, _array, _number, _object, _parse_json, _require, _string
+from .kb import (
+    BeliefDistribution, KnowledgeBase, _array, _number, _object, _parse_json, _reject_repeats, _require, _string
+)
 
 # The money/risk trade is linear only for small death probabilities.
 LINEAR_RISK_LIMIT = 0.001
@@ -214,7 +216,7 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
 
 
 def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatrix:
-    """Parse a utility file; raises on missing entries or values outside [0, 1e6]."""
+    """Parse a utility file; raises on missing or repeated entries or values outside [0, 1e6]."""
     doc = _parse_json(source, "utilities")
 
     raw_classes = _array(_require(doc, "classes", "utilities"), "utilities.classes")
@@ -227,7 +229,8 @@ def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatr
     }
 
     entries: dict[tuple[str, str], float] = {}
-    for i, entry in enumerate(_array(_require(doc, "disutility", "utilities"), "utilities.disutility")):
+    raw_entries = _array(_require(doc, "disutility", "utilities"), "utilities.disutility")
+    for i, entry in enumerate(raw_entries):
         where = f"utilities.disutility[{i}]"
         true_cls = _string(_require(entry, "true", where), f"{where}.true")
         diag_cls = _string(_require(entry, "diagnosed", where), f"{where}.diagnosed")
@@ -237,6 +240,8 @@ def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatr
                 f"{where}.micromorts: {micromorts!r} is above certain death ({CERTAIN_DEATH_MICROMORTS:.0f})"
             )
         entries[(true_cls, diag_cls)] = micromorts
+    if len(raw_entries) != len(entries):
+        _reject_repeats("utilities.disutility", ([(e["true"], e["diagnosed"])] for e in raw_entries))
 
     return UtilityMatrix(classes=classes, class_disutility=entries, expansion=expansion)
 

@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import combinations
 from statistics import NormalDist
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import engine
 from .decision import (
@@ -43,7 +43,7 @@ from .errors import (
     UnknownDisease,
     ValidationError,
 )
-from .kb import CALCULI, PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
+from .kb import CALCULI, GOLD_SOURCES, PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
 
 # Each evaluated method in presentation order: (report label, calculus that
 # produces its distribution, whether it diagnoses by minimum expected
@@ -55,12 +55,11 @@ METHODS = {
     "odds_likelihood": ("Odds-likelihood", "odds_likelihood", False),
     "naive_dempster_shafer": ("Naive Dempster-Shafer", "naive_dempster_shafer", False),
 }
-EVAL_METHODS = tuple(METHODS)
 
 _INFERENCE = {name: getattr(engine, name) for name in CALCULI}
 
 
-def check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
+def check_methods(methods: Sequence[str], allowed: Collection[str]) -> None:
     """Raise ValueError unless ``methods`` are one or more distinct names from ``allowed``."""
     if not methods:
         raise ValueError("no methods requested")
@@ -73,10 +72,7 @@ def check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
 
 # Sentence-case labels head the main ratings table; title-case labels are
 # used in the gold-versus-gold section.
-GOLD_ROW_LABELS = {
-    "descriptive": "Descriptive gold standard",
-    "informed": "Informed gold standard",
-}
+GOLD_ROW_LABELS = {source: f"{source.capitalize()} gold standard" for source in GOLD_SOURCES}
 GOLD_PAIR_LABELS = {source: label.title() for source, label in GOLD_ROW_LABELS.items()}
 
 
@@ -419,81 +415,67 @@ def evaluate_methods(
 ) -> EvaluationReport:
     """Score each method's diagnoses against the selected gold standard.
 
-    Per case and method: run inference, pick the diagnosis (highest
-    belief, or minimum expected disutility for ``simple_bayes_meu``),
-    price it under the gold distribution, and compare with the gold
-    diagnosis.  Cases on which any required inference fails are excluded
-    from the whole study and listed in the report.  Aggregation is a
-    deterministic reduce over cases sorted by id.
+    Two passes over the cases sorted by id.  The inference pass runs every
+    needed calculus on every case; a case on which one fails is excluded
+    from the whole study and listed in the report.  The rating pass then
+    picks each rated row's diagnosis (highest belief, or minimum expected
+    disutility for ``simple_bayes_meu`` and for the other gold standard),
+    prices it under the gold distribution, and compares it with the gold
+    diagnosis.  Aggregation is a deterministic reduce in that case order.
     """
-    if gold_source not in GOLD_ROW_LABELS:
-        names = " or ".join(f"'{source}'" for source in GOLD_ROW_LABELS)
+    if gold_source not in GOLD_SOURCES:
+        names = " or ".join(f"'{source}'" for source in GOLD_SOURCES)
         raise ValueError(f"gold source must be {names}, got {gold_source!r}")
-    check_methods(methods, EVAL_METHODS)
+    check_methods(methods, METHODS)
     ordered_methods = [m for m in METHODS if m in methods]
-    calculi = {METHODS[m][1] for m in ordered_methods}
-    needed_dists = [d for d in CALCULI if d in calculi]
+    needed_calculi = [c for c in CALCULI if any(METHODS[m][1] == c for m in ordered_methods)]
 
     ordered_cases = sorted(cases, key=lambda c: c.id)
     for case in ordered_cases:
         if case.gold(gold_source) is None:
             raise MissingGoldStandard(f"case '{case.id}' has no {gold_source} gold distribution")
 
-    # Inference; any failure excludes the case from the entire study.
-    distributions: dict[str, dict[str, BeliefDistribution]] = {}
+    # Inference pass: each included case with a distribution per calculus and its other gold.
+    other_source = next(source for source in GOLD_SOURCES if source != gold_source)
+    inferred: list[tuple[CaseRecord, dict[str, BeliefDistribution | None]]] = []
     exclusions: list[Exclusion] = []
-    included: list[CaseRecord] = []
     for case in ordered_cases:
-        per_case: dict[str, BeliefDistribution] = {}
-        for dist_method in needed_dists:
+        dists = {other_source: case.gold(other_source)}
+        for calculus in needed_calculi:
             try:
-                per_case[dist_method] = _INFERENCE[dist_method](kb, case.observations)
+                dists[calculus] = _INFERENCE[calculus](kb, case.observations)
             except InferenceError as exc:
-                exclusions.append(Exclusion(case.id, f"{dist_method}: {type(exc).__name__}"))
+                exclusions.append(Exclusion(case.id, f"{calculus}: {type(exc).__name__}"))
                 break
         else:
-            distributions[case.id] = per_case
-            included.append(case)
-    if not included:
+            inferred.append((case, dists))
+    if not inferred:
         raise ValidationError(["no cases remain after exclusions"])
 
+    included = [case for case, _ in inferred]
     weights = case_weights(included, kb)
-    other_source = next(source for source in GOLD_ROW_LABELS if source != gold_source)
-    both_golds = all(c.gold(other_source) is not None for c in included)
 
-    # Per rated row: its rating of each case and the rating minus the gold
-    # rating; the other gold standard is rated like one more method.
+    # Rating pass: each rated row's distribution and whether it diagnoses by MEU; the other
+    # gold standard is rated like one more method when every included case has it.
+    rules = {m: METHODS[m][1:] for m in ordered_methods}
+    if all(dists[other_source] is not None for _, dists in inferred):
+        rules[other_source] = (other_source, True)
     gold_ratings: list[float] = []
-    ratings: dict[str, list[float]] = {m: [] for m in ordered_methods + [other_source]}
-    diffs: dict[str, list[float]] = {m: [] for m in ratings}
-    agreement = dict.fromkeys(ordered_methods, 0)
-
-    for case in included:
+    ratings: dict[str, list[float]] = {row: [] for row in rules}
+    agreement = dict.fromkeys(rules, 0)
+    for case, dists in inferred:
         p_gold = case.gold(gold_source)
         dx_gold = meu_diagnosis(p_gold, utilities, kb)
-        r_gold = expected_disutility(p_gold, utilities, dx_gold, kb)
-        gold_ratings.append(r_gold)
-
-        diagnoses = {}
-        for method in ordered_methods:
-            _, calculus, uses_meu = METHODS[method]
-            dist = distributions[case.id][calculus]
-            if uses_meu:
-                diagnoses[method] = meu_diagnosis(dist, utilities, kb)
-            else:
-                diagnoses[method] = max_belief_diagnosis(dist)
-            agreement[method] += diagnoses[method] == dx_gold
-        if both_golds:
-            diagnoses[other_source] = meu_diagnosis(case.gold(other_source), utilities, kb)
-        for row, dx in diagnoses.items():
-            r = expected_disutility(p_gold, utilities, dx, kb)
-            ratings[row].append(r)
-            diffs[row].append(r - r_gold)
+        gold_ratings.append(expected_disutility(p_gold, utilities, dx_gold, kb))
+        for row, (source, uses_meu) in rules.items():
+            dx = meu_diagnosis(dists[source], utilities, kb) if uses_meu else max_belief_diagnosis(dists[source])
+            ratings[row].append(expected_disutility(p_gold, utilities, dx, kb))
+            agreement[row] += dx == dx_gold
+    diffs = {row: [r - g for r, g in zip(rated, gold_ratings)] for row, rated in ratings.items()}
 
     def rated_row(label: str, row: str, agree: tuple[int, int] | None = None) -> DecisionRow:
         absolute, _ = weighted_mean_sd(ratings[row], weights)
-        diff_mean, diff_sd = weighted_mean_sd(diffs[row], weights)
-        return DecisionRow(label, absolute, diff_mean, diff_sd, agree)
+        return DecisionRow(label, absolute, *weighted_mean_sd(diffs[row], weights), agree)
 
     n_cases = len(included)
     gold_mean, _ = weighted_mean_sd(gold_ratings, weights)
@@ -501,16 +483,14 @@ def evaluate_methods(
     for method in ordered_methods:
         decision_rows.append(rated_row(METHODS[method][0], method, (agreement[method], n_cases)))
 
-    gold_rows: tuple[DecisionRow, ...] = ()
-    if both_golds:
-        gold_rows = (
-            DecisionRow(label=GOLD_PAIR_LABELS[gold_source], absolute_mean=gold_mean),
-            rated_row(GOLD_PAIR_LABELS[other_source], other_source),
-        )
+    gold_rows = (
+        DecisionRow(label=GOLD_PAIR_LABELS[gold_source], absolute_mean=gold_mean),
+        rated_row(GOLD_PAIR_LABELS[other_source], other_source),
+    ) if other_source in rules else ()
 
     summary: dict[str, tuple[float, float]] = {}
     if any(case.expert_ratings for case in included):
-        summary = expert_rating_summary(included, weights, needed_dists)
+        summary = expert_rating_summary(included, weights, needed_calculi)
     expert_rows = [ExpertRow(METHODS[m][0], *summary[m]) for m in summary]
 
     significance: list[SignificanceResult] = []

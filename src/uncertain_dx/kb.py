@@ -6,7 +6,7 @@ are mutually exclusive and exhaustive, and a dense conditional table
 p(feature=value | disease).  A ``KnowledgeBase`` validates itself on
 construction, loaded or built in code: ``validate_kb`` is its rule, and a
 violation raises ``ValidationError``.  Case records pair observation sets
-with optional gold-standard distributions and expert ratings.
+with optional gold standards, one per ``GOLD_SOURCES`` name, and ratings.
 
 Everything in this module is immutable after load and safe to share
 across threads.  ``KnowledgeBase.compiled_terms``, the engine's memo, is
@@ -20,8 +20,8 @@ File formats (UTF-8 JSON):
 
     {"diseases":     [{"id": "d1", "name": "...", "prior": 0.5, "class": "c1"}, ...],
      "features":     [{"id": "f1", "name": "...", "values": ["v1", "v2"]}, ...],
-     "conditionals": [{"feature": "f1", "disease": "d1",
-                       "probs": {"v1": 0.8, "v2": 0.2}}, ...]}
+     "conditionals": [{"feature": "f1", "disease": "d1",   # each (feature, value, disease)
+                       "probs": {"v1": 0.8, "v2": 0.2}}, ...]}  # once; rows may be split
 
 * Cases: a JSON array of::
 
@@ -58,6 +58,8 @@ GOLD_SUM_TOL = 1e-6
 # The three calculi, in the order every method list, table and report uses.
 CALCULI = ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
 BELIEF_METHODS = (*CALCULI, "external")
+# The gold standards a case may carry, each as its ``gold_<source>`` field.
+GOLD_SOURCES = ("descriptive", "informed")
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,9 @@ class CaseRecord:
     expert_ratings: Mapping[str, float] | None = None
 
     def gold(self, source: str) -> BeliefDistribution | None:
-        golds = {"descriptive": self.gold_descriptive, "informed": self.gold_informed}
-        try:
-            return golds[source]
-        except KeyError:
-            raise ValueError(f"unknown gold source '{source}'") from None
+        if source not in GOLD_SOURCES:
+            raise ValueError(f"unknown gold source '{source}'")
+        return getattr(self, f"gold_{source}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,16 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _reject_repeats(where: str, keys_per_entry) -> None:
+    """Raise FileFormatError at the first entry of array ``where`` with a key
+    of an earlier one; loaders call it only when their entry count shows one."""
+    seen = set()
+    for i, keys in enumerate(keys_per_entry):
+        if not seen.isdisjoint(keys):
+            raise FileFormatError(f"{where}[{i}]: repeats entry {next(k for k in keys if k in seen)!r}")
+        seen.update(keys)
+
+
 def _id(value, where: str) -> str:
     """A disease or case id: reports print ids as TSV cells, so a tab or a
     line break in one would forge columns or rows."""
@@ -366,7 +376,7 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
 
     Accepts raw bytes, a binary file object, or a filesystem path.
     Raises FileFormatError with the offending location on parse errors
-    and ValidationError carrying all violations on semantic errors.
+    and repeated entries, and ValidationError carrying all semantic violations.
     """
     doc = _parse_json(source, "knowledge base")
 
@@ -395,13 +405,18 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
         )
 
     entries: dict[tuple[str, str, str], float] = {}
-    for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
+    rows = _array(_require(doc, "conditionals", "knowledge base"), "conditionals")
+    read = 0
+    for i, entry in enumerate(rows):
         where = f"conditionals[{i}]"
         feat = _string(_require(entry, "feature", where), f"{where}.feature")
         dis = _string(_require(entry, "disease", where), f"{where}.disease")
         probs = _object(_require(entry, "probs", where), f"{where}.probs")
+        read += len(probs)
         for value, p in probs.items():
             entries[(feat, value, dis)] = _number(p, f"{where}.probs['{value}']")
+    if read != len(entries):
+        _reject_repeats("conditionals", ([(e["feature"], v, e["disease"]) for v in e["probs"]] for e in rows))
 
     return KnowledgeBase(
         diseases=tuple(diseases),
@@ -495,11 +510,10 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
                 violations.append(f"{where}: unknown true diagnosis '{true_dx}'")
                 true_dx = None
 
-        gold_desc = gold_inf = None
-        if entry.get("gold_descriptive") is not None:
-            gold_desc = _load_gold(entry["gold_descriptive"], kb, f"{where}.gold_descriptive", violations)
-        if entry.get("gold_informed") is not None:
-            gold_inf = _load_gold(entry["gold_informed"], kb, f"{where}.gold_informed", violations)
+        golds = {
+            f"gold_{s}": _load_gold(entry[f"gold_{s}"], kb, f"{where}.gold_{s}", violations)
+            for s in GOLD_SOURCES if entry.get(f"gold_{s}") is not None
+        }
 
         ratings = None
         if entry.get("expert_ratings") is not None:
@@ -515,9 +529,8 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
                 id=case_id,
                 observations=tuple(observations),
                 true_diagnosis=true_dx,
-                gold_descriptive=gold_desc,
-                gold_informed=gold_inf,
                 expert_ratings=ratings,
+                **golds,
             )
         )
 

@@ -84,6 +84,9 @@ MALFORMED = {
         UTILITIES,
         lambda doc: [e.update(micromorts=1e155) for e in doc["disutility"] if e["true"] != e["diagnosed"]],
     ),
+    # A repeated entry used to replace the earlier one silently.
+    "repeated-conditional": (KB, lambda doc: doc["conditionals"].append(dict(doc["conditionals"][0]))),
+    "repeated-disutility": (UTILITIES, lambda doc: doc["disutility"].append(dict(doc["disutility"][0]))),
     # Ids print as TSV cells: these would forge an infer column and a report section.
     "disease-id-with-tab": (KB, lambda doc: doc.update(_renamed(doc, "fl", "fl\tx"))),
     "case-id-with-line-break": (CASES, lambda doc: doc[-1].update(id="c5\tall\n[significance]")),

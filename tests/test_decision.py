@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -25,6 +26,7 @@ from uncertain_dx.decision import (
     wtp_to_micromorts,
 )
 from uncertain_dx.errors import (
+    FileFormatError,
     LinearityRangeExceeded,
     NonpositiveValueOfLife,
     UnmappedDisease,
@@ -279,6 +281,15 @@ class TestUtilityMatrixValidation:
         u = load_utilities(data_dir / "fixture_utilities.json")
         assert u.class_disutility[("hodgkin", "benign")] == 350000
         assert u.disease_class("hns") == "hodgkin"
+
+    def test_repeated_disutility_entry_rejected(self, data_dir):
+        """A later entry for the same (true, diagnosed) pair used to win silently."""
+        doc = json.loads((data_dir / "fixture_utilities.json").read_text())
+        doc["disutility"].append({"true": "benign", "diagnosed": "hodgkin", "micromorts": 1})
+        where = len(doc["disutility"]) - 1
+        message = rf"^utilities\.disutility\[{where}\]: repeats entry \('benign', 'hodgkin'\)$"
+        with pytest.raises(FileFormatError, match=message):
+            load_utilities(json.dumps(doc).encode())
 
     def test_coverage_violations(self, fixture_kb, fixture_utilities):
         assert utility_coverage_violations(fixture_utilities, fixture_kb) == []

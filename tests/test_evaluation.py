@@ -21,6 +21,7 @@ from uncertain_dx.errors import (
     UncertainDxError,
     MissingRatings,
     MissingTrueDiagnosis,
+    UnknownObservation,
 )
 from uncertain_dx.evaluation import (
     CaseWeight,
@@ -548,6 +549,23 @@ class TestEvaluateMethods:
         cases[2] = dataclasses.replace(cases[2], gold_informed=None)
         with pytest.raises(MissingGoldStandard, match="c3"):
             self.run(fixture_kb, cases, fixture_utilities)
+
+    def test_every_case_is_inferred_before_any_is_rated(self, fixture_kb, fixture_cases, fixture_utilities):
+        """An input error in the last case's inference wins over a rating error
+        that the first case would raise: with "fl" unmapped, rating any case
+        raises UnmappedDisease, but no case is rated before all are inferred."""
+        unmapped = dataclasses.replace(
+            fixture_utilities,
+            expansion={d: c for d, c in fixture_utilities.expansion.items() if d != "fl"},
+        )
+        last = CaseRecord(
+            id="zz",
+            observations=(Observation(feature="nope", value="x"),),
+            true_diagnosis="va",
+            gold_informed=fixture_cases[0].gold_informed,
+        )
+        with pytest.raises(UnknownObservation, match=r"^unknown feature 'nope'$"):
+            self.run(fixture_kb, [*fixture_cases, last], unmapped, iterations=1000)
 
     def test_gold_pair_requires_both_everywhere(self, fixture_kb, fixture_cases, fixture_utilities):
         cases = list(fixture_cases)

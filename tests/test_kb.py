@@ -83,6 +83,23 @@ class TestLoadKb:
         with pytest.raises(FileFormatError, match=r"diseases\[1\].*'prior'"):
             load_kb(kb_bytes(doc))
 
+    def test_repeated_conditional_entry_rejected(self):
+        """A later entry for the same (feature, value, disease) used to win
+        silently: p(v1 | d1) loaded as 0.9 after an earlier 0.5."""
+        from uncertain_dx.errors import FileFormatError
+
+        doc = json.loads(json.dumps(MINIMAL_KB))
+        doc["conditionals"][0]["probs"] = {"v1": 0.5}
+        doc["conditionals"].append({"feature": "f1", "disease": "d1", "probs": {"v1": 0.9, "v2": 0.1}})
+        with pytest.raises(FileFormatError, match=r"^conditionals\[2\]: repeats entry \('f1', 'v1', 'd1'\)$"):
+            load_kb(kb_bytes(doc))
+
+    def test_row_split_over_entries_accepted(self):
+        doc = json.loads(json.dumps(MINIMAL_KB))
+        doc["conditionals"][0]["probs"] = {"v1": 0.8}
+        doc["conditionals"].append({"feature": "f1", "disease": "d1", "probs": {"v2": 0.2}})
+        assert load_kb(kb_bytes(doc)).conditionals == load_kb(kb_bytes(MINIMAL_KB)).conditionals
+
     def test_accepts_file_object(self, tmp_path):
         path = tmp_path / "kb.json"
         path.write_bytes(kb_bytes(MINIMAL_KB))
