@@ -88,6 +88,11 @@ def _load_utilities(path: str, kb: KnowledgeBase | None) -> UtilityMatrix:
     return utilities
 
 
+def _one_line(message: str) -> str:
+    """``message`` with CR and LF written as ``\\r`` and ``\\n``, so a file cannot forge an output line."""
+    return message.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _print_check(label: str, load: Callable, *args):
     """Call ``load``; print "<label>: OK" and return its result, or print
     each violation it raises and return None."""
@@ -95,7 +100,7 @@ def _print_check(label: str, load: Callable, *args):
         value = load(*args)
     except ValidationError as exc:
         for violation in exc.violations:
-            print(f"{label}: {violation}")
+            print(f"{label}: {_one_line(violation)}")
         return None
     print(f"{label}: OK")
     return value
@@ -265,12 +270,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     commands = {"validate": cmd_validate, "infer": cmd_infer, "evaluate": cmd_evaluate, "probe": cmd_probe}
     try:
         return commands[args.command](args)
-    except InferenceError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
-    except (InputError, ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (InferenceError, InputError, ValueError, OSError) as exc:
+        print(f"{type(exc).__name__}: {_one_line(str(exc))}", file=sys.stderr)
+        return EXIT_INFERENCE if isinstance(exc, InferenceError) else EXIT_INPUT
 
 
 def entrypoint() -> None:

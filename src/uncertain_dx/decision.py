@@ -36,9 +36,7 @@ from .errors import (
     UnmappedDisease,
     ValidationError,
 )
-from .kb import (
-    BeliefDistribution, KnowledgeBase, _array, _number, _object, _parse_json, _reject_repeats, _require, _string
-)
+from .kb import BeliefDistribution, KnowledgeBase, _array, _field, _number, _object, _parse_json, _string
 
 # The money/risk trade is linear only for small death probabilities.
 LINEAR_RISK_LIMIT = 0.001
@@ -216,32 +214,28 @@ def offdiagonal_adjust(base: float, delta: MicromortQuote) -> float:
 
 
 def load_utilities(source: bytes | str | os.PathLike | IO[bytes]) -> UtilityMatrix:
-    """Parse a utility file; raises on missing or repeated entries or values outside [0, 1e6]."""
-    doc = _parse_json(source, "utilities")
+    """Parse a utility file; raises on missing entries, on values outside [0, 1e6],
+    and on a repeated (true, diagnosed) entry, at the entry that repeats it."""
+    doc = _object(_parse_json(source, "utilities"), "utilities")
 
-    raw_classes = _array(_require(doc, "classes", "utilities"), "utilities.classes")
+    raw_classes = _field(doc, "classes", "utilities", _array)
     classes = tuple(_string(c, f"utilities.classes[{i}]") for i, c in enumerate(raw_classes))
-
-    raw_expansion = _object(_require(doc, "expansion", "utilities"), "utilities.expansion")
-    expansion = {
-        _string(k, "utilities.expansion key"): _string(v, f"utilities.expansion['{k}']")
-        for k, v in raw_expansion.items()
-    }
+    raw_expansion = _field(doc, "expansion", "utilities", _object)
+    expansion = {k: _string(v, f"utilities.expansion['{k}']") for k, v in raw_expansion.items()}
 
     entries: dict[tuple[str, str], float] = {}
-    raw_entries = _array(_require(doc, "disutility", "utilities"), "utilities.disutility")
-    for i, entry in enumerate(raw_entries):
+    for i, entry in enumerate(_field(doc, "disutility", "utilities", _array)):
         where = f"utilities.disutility[{i}]"
-        true_cls = _string(_require(entry, "true", where), f"{where}.true")
-        diag_cls = _string(_require(entry, "diagnosed", where), f"{where}.diagnosed")
-        micromorts = _number(_require(entry, "micromorts", where), f"{where}.micromorts")
+        entry = _object(entry, where)
+        key = (_field(entry, "true", where, _string), _field(entry, "diagnosed", where, _string))
+        micromorts = _field(entry, "micromorts", where, _number)
         if micromorts > CERTAIN_DEATH_MICROMORTS:
             raise FileFormatError(
                 f"{where}.micromorts: {micromorts!r} is above certain death ({CERTAIN_DEATH_MICROMORTS:.0f})"
             )
-        entries[(true_cls, diag_cls)] = micromorts
-    if len(raw_entries) != len(entries):
-        _reject_repeats("utilities.disutility", ([(e["true"], e["diagnosed"])] for e in raw_entries))
+        if key in entries:
+            raise FileFormatError(f"{where}: repeats entry {key!r}")
+        entries[key] = micromorts
 
     return UtilityMatrix(classes=classes, class_disutility=entries, expansion=expansion)
 

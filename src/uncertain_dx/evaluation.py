@@ -57,6 +57,8 @@ METHODS = {
 }
 
 _INFERENCE = {name: getattr(engine, name) for name in CALCULI}
+# The fewest Monte Carlo iterations a permutation test, and so an evaluation, may run.
+MIN_ITERATIONS = 1000
 
 
 def check_methods(methods: Sequence[str], allowed: Collection[str]) -> None:
@@ -272,8 +274,8 @@ def permutation_test(
         raise ValueError("empty sample")
     if len(diffs) != len(weights):
         raise ValueError(f"{len(diffs)} diffs but {len(weights)} weights")
-    if iterations < 1000:
-        raise ValueError(f"iterations must be at least 1000, got {iterations}")
+    if iterations < MIN_ITERATIONS:
+        raise ValueError(f"iterations must be at least {MIN_ITERATIONS}, got {iterations}")
     if not all(map(math.isfinite, diffs)):
         raise ValueError("differences must be finite")
 
@@ -427,6 +429,8 @@ def evaluate_methods(
         names = " or ".join(f"'{source}'" for source in GOLD_SOURCES)
         raise ValueError(f"gold source must be {names}, got {gold_source!r}")
     check_methods(methods, METHODS)
+    if iterations < MIN_ITERATIONS:
+        raise ValueError(f"iterations must be at least {MIN_ITERATIONS}, got {iterations}")
     ordered_methods = [m for m in METHODS if m in methods]
     needed_calculi = [c for c in CALCULI if any(METHODS[m][1] == c for m in ordered_methods)]
 

@@ -39,7 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import IO, Mapping, Sequence
 
 from .errors import (
@@ -328,10 +328,22 @@ def _array(value, where: str) -> list:
     return value
 
 
-def _require(obj, key: str, where: str):
-    if key not in _object(obj, where):
+def _require(obj: dict, key: str, where: str):
+    if key not in obj:
         raise FileFormatError(f"{where}: missing key '{key}'")
     return obj[key]
+
+
+def _field(obj: dict, key: str, where: str, kind):
+    """``obj[key]`` checked by ``kind``, with errors located at ``where.key``."""
+    if key not in obj:
+        raise FileFormatError(f"{where}: missing key '{key}'")
+    return kind(obj[key], f"{where}.{key}")
+
+
+def _optional(obj: dict, key: str, where: str, kind):
+    """``_field``, except that a missing key reads as None, as null does."""
+    return None if obj.get(key) is None else _field(obj, key, where, kind)
 
 
 def _number(value, where: str) -> float:
@@ -352,16 +364,6 @@ def _string(value, where: str) -> str:
     return value
 
 
-def _reject_repeats(where: str, keys_per_entry) -> None:
-    """Raise FileFormatError at the first entry of array ``where`` with a key
-    of an earlier one; loaders call it only when their entry count shows one."""
-    seen = set()
-    for i, keys in enumerate(keys_per_entry):
-        if not seen.isdisjoint(keys):
-            raise FileFormatError(f"{where}[{i}]: repeats entry {next(k for k in keys if k in seen)!r}")
-        seen.update(keys)
-
-
 def _id(value, where: str) -> str:
     """A disease or case id: reports print ids as TSV cells, so a tab or a
     line break in one would forge columns or rows."""
@@ -376,47 +378,49 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
 
     Accepts raw bytes, a binary file object, or a filesystem path.
     Raises FileFormatError with the offending location on parse errors
-    and repeated entries, and ValidationError carrying all semantic violations.
+    and on a repeated (feature, value, disease) entry, at the entry that
+    repeats it, and ValidationError carrying all semantic violations.
     """
-    doc = _parse_json(source, "knowledge base")
+    doc = _object(_parse_json(source, "knowledge base"), "knowledge base")
 
     diseases = []
     for i, entry in enumerate(_array(_require(doc, "diseases", "knowledge base"), "diseases")):
         where = f"diseases[{i}]"
+        entry = _object(entry, where)
         diseases.append(
             Disease(
-                id=_id(_require(entry, "id", where), f"{where}.id"),
-                name=_string(_require(entry, "name", where), f"{where}.name"),
-                prior=_number(_require(entry, "prior", where), f"{where}.prior"),
-                equivalence_class=_string(_require(entry, "class", where), f"{where}.class"),
+                id=_field(entry, "id", where, _id),
+                name=_field(entry, "name", where, _string),
+                prior=_field(entry, "prior", where, _number),
+                equivalence_class=_field(entry, "class", where, _string),
             )
         )
 
     features = []
     for i, entry in enumerate(_array(_require(doc, "features", "knowledge base"), "features")):
         where = f"features[{i}]"
-        values = _array(_require(entry, "values", where), f"{where}.values")
+        entry = _object(entry, where)
+        values = _field(entry, "values", where, _array)
         features.append(
             Feature(
-                id=_string(_require(entry, "id", where), f"{where}.id"),
-                name=_string(_require(entry, "name", where), f"{where}.name"),
+                id=_field(entry, "id", where, _string),
+                name=_field(entry, "name", where, _string),
                 values=tuple(_string(v, f"{where}.values[{j}]") for j, v in enumerate(values)),
             )
         )
 
     entries: dict[tuple[str, str, str], float] = {}
-    rows = _array(_require(doc, "conditionals", "knowledge base"), "conditionals")
-    read = 0
-    for i, entry in enumerate(rows):
+    for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
         where = f"conditionals[{i}]"
-        feat = _string(_require(entry, "feature", where), f"{where}.feature")
-        dis = _string(_require(entry, "disease", where), f"{where}.disease")
-        probs = _object(_require(entry, "probs", where), f"{where}.probs")
-        read += len(probs)
-        for value, p in probs.items():
-            entries[(feat, value, dis)] = _number(p, f"{where}.probs['{value}']")
-    if read != len(entries):
-        _reject_repeats("conditionals", ([(e["feature"], v, e["disease"]) for v in e["probs"]] for e in rows))
+        entry = _object(entry, where)
+        feat = _field(entry, "feature", where, _string)
+        dis = _field(entry, "disease", where, _string)
+        for value, p in _field(entry, "probs", where, _object).items():
+            p = _number(p, f"{where}.probs['{value}']")
+            key = (feat, value, dis)
+            if key in entries:
+                raise FileFormatError(f"{where}: repeats entry {key!r}")
+            entries[key] = p
 
     return KnowledgeBase(
         diseases=tuple(diseases),
@@ -448,7 +452,7 @@ def serialize_kb(kb: KnowledgeBase) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _load_gold(raw, kb: KnowledgeBase, where: str, violations: list[str]) -> BeliefDistribution | None:
+def _load_gold(raw, where: str, kb: KnowledgeBase, violations: list[str]) -> BeliefDistribution | None:
     if not isinstance(raw, dict):
         raise FileFormatError(f"{where}: expected an object mapping disease to probability")
     dist: dict[str, float] = {}
@@ -477,9 +481,11 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
     cases: list[CaseRecord] = []
     violations: list[str] = []
     seen_ids: set[str] = set()
+    gold = partial(_load_gold, kb=kb, violations=violations)
     for i, entry in enumerate(doc):
         where = f"cases[{i}]"
-        case_id = _id(_require(entry, "id", where), f"{where}.id")
+        entry = _object(entry, where)
+        case_id = _field(entry, "id", where, _id)
         where = f"case '{case_id}'"
         if case_id in seen_ids:
             violations.append(f"{where}: duplicate case id")
@@ -487,12 +493,10 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
 
         observations: list[Observation] = []
         seen_features: set[str] = set()
-        for j, obs in enumerate(_array(_require(entry, "observations", where), f"{where}.observations")):
+        for j, obs in enumerate(_field(entry, "observations", where, _array)):
             ow = f"{where}.observations[{j}]"
-            observation = Observation(
-                feature=_string(_require(obs, "feature", ow), f"{ow}.feature"),
-                value=_string(_require(obs, "value", ow), f"{ow}.value"),
-            )
+            obs = _object(obs, ow)
+            observation = Observation(_field(obs, "feature", ow, _string), _field(obs, "value", ow, _string))
             try:
                 _check_observation(kb, observation, seen_features)
             except UnknownObservation as exc:
@@ -503,26 +507,19 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
                 continue
             observations.append(observation)
 
-        true_dx = entry.get("true_diagnosis")
-        if true_dx is not None:
-            true_dx = _string(true_dx, f"{where}.true_diagnosis")
-            if true_dx not in kb.disease_index:
-                violations.append(f"{where}: unknown true diagnosis '{true_dx}'")
-                true_dx = None
+        true_dx = _optional(entry, "true_diagnosis", where, _string)
+        if true_dx is not None and true_dx not in kb.disease_index:
+            violations.append(f"{where}: unknown true diagnosis '{true_dx}'")
+            true_dx = None
 
-        golds = {
-            f"gold_{s}": _load_gold(entry[f"gold_{s}"], kb, f"{where}.gold_{s}", violations)
-            for s in GOLD_SOURCES if entry.get(f"gold_{s}") is not None
-        }
+        golds = {f"gold_{s}": _optional(entry, f"gold_{s}", where, gold) for s in GOLD_SOURCES}
 
-        ratings = None
-        if entry.get("expert_ratings") is not None:
-            ratings = {}
-            for method, r in _object(entry["expert_ratings"], f"{where}.expert_ratings").items():
-                value = _number(r, f"{where}.expert_ratings['{method}']")
-                if not 0.0 <= value <= 10.0:
-                    violations.append(f"{where}: rating for '{method}' outside [0, 10]")
-                ratings[method] = value
+        ratings = _optional(entry, "expert_ratings", where, _object)
+        if ratings is not None:
+            ratings = {m: _number(r, f"{where}.expert_ratings['{m}']") for m, r in ratings.items()}
+            violations.extend(
+                f"{where}: rating for '{m}' outside [0, 10]" for m, r in ratings.items() if not 0.0 <= r <= 10.0
+            )
 
         cases.append(
             CaseRecord(

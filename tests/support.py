@@ -8,6 +8,7 @@ the true real-arithmetic answer for the float-valued model.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,28 @@ from uncertain_dx.kb import (
     Observation,
     _check_observation,
 )
+
+
+def with_fault(doc, path: tuple, fault: str):
+    """A copy of JSON ``doc`` whose key at ``path`` is deleted (``fault`` "missing")
+    or whose value there is ``true`` ("mistyped"); the empty path is the document."""
+    if not path:
+        return True
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    container = doc
+    for step in parents:
+        container = container[step]
+    if fault == "missing":
+        del container[key]
+    else:
+        container[key] = True
+    return doc
+
+
+def fault_ids(faults) -> list[str]:
+    """Test ids for (path, fault, message) triples, such as ``diseases/0/id-missing``."""
+    return [("/".join(map(str, path)) or "document") + f"-{fault}" for path, fault, _ in faults]
 
 
 def _normalized(rng: random.Random, k: int) -> list[float]:

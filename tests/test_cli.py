@@ -54,6 +54,16 @@ class TestValidateCommand:
         assert main(["validate", "--kb", str(bad)]) == 2
         assert "priors must sum to 1" in capsys.readouterr().out
 
+    def test_line_break_in_a_violation_cannot_forge_an_ok_line(self, tmp_path, capsys):
+        doc = json.loads(open(KB).read())
+        doc["conditionals"].append({"feature": "zz\nkb: OK", "disease": "va", "probs": {"absent": 1.0}})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--kb", str(bad)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("kb: OK") for line in lines)
+        assert "kb: conditional (zz\\nkb: OK, absent, va): unknown feature" in lines
+
 
 def _set_first_prior(value):
     def edit(doc):
@@ -90,6 +100,8 @@ MALFORMED = {
     # Ids print as TSV cells: these would forge an infer column and a report section.
     "disease-id-with-tab": (KB, lambda doc: doc.update(_renamed(doc, "fl", "fl\tx"))),
     "case-id-with-line-break": (CASES, lambda doc: doc[-1].update(id="c5\tall\n[significance]")),
+    # A line break in a located key used to split the message over two lines.
+    "line-break-in-probs-key": (KB, lambda doc: doc["conditionals"][0]["probs"].update({"x\nkb: OK": "bad"})),
 }
 
 
@@ -221,6 +233,15 @@ class TestInferCommand:
         assert main(["infer", "--kb", KB, "--cases", CASES, "--case", "c2", "--methods", "simple_bayes"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("hns\t")
+
+    def test_line_break_in_a_case_violation_stays_on_one_line(self, tmp_path, capsys):
+        doc = json.loads(open(CASES).read())
+        doc[0]["observations"].append({"feature": "q\ncases: OK", "value": "x"})
+        bad = tmp_path / "cases.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["infer", "--kb", KB, "--cases", str(bad), "--case", "c1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "ValidationError: case 'c1'.observations[4]: unknown feature 'q\\ncases: OK'\n"
 
     def test_missing_case_id(self, capsys):
         assert main(["infer", "--kb", KB, "--cases", CASES, "--case", "zz"]) == 2

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from support import fault_ids, with_fault
 from uncertain_dx import decision
 from uncertain_dx.decision import (
     MicromortQuote,
@@ -299,6 +300,42 @@ class TestUtilityMatrixValidation:
             expansion={k: v for k, v in fixture_utilities.expansion.items() if k != "fl"},
         )
         assert any("'fl'" in v for v in utility_coverage_violations(smaller, fixture_kb))
+
+
+# One document per field with the key missing and one with its value mistyped
+# (set to true), each with the message ``load_utilities`` gave before every
+# field went through ``kb._field``.  Array elements and expansion values have
+# no missing-key document.
+UTILITY_FILE = {
+    "classes": ["c1"],
+    "expansion": {"d1": "c1"},
+    "disutility": [{"true": "c1", "diagnosed": "c1", "micromorts": 0}],
+}
+UTILITY_FIELD_FAULTS = [
+    ((), "mistyped", "utilities: expected an object"),
+    (("classes",), "missing", "utilities: missing key 'classes'"),
+    (("classes",), "mistyped", "utilities.classes: expected an array"),
+    (("classes", 0), "mistyped", "utilities.classes[0]: expected a string, got True"),
+    (("expansion",), "missing", "utilities: missing key 'expansion'"),
+    (("expansion",), "mistyped", "utilities.expansion: expected an object"),
+    (("expansion", "d1"), "mistyped", "utilities.expansion['d1']: expected a string, got True"),
+    (("disutility",), "missing", "utilities: missing key 'disutility'"),
+    (("disutility",), "mistyped", "utilities.disutility: expected an array"),
+    (("disutility", 0), "mistyped", "utilities.disutility[0]: expected an object"),
+    (("disutility", 0, "true"), "missing", "utilities.disutility[0]: missing key 'true'"),
+    (("disutility", 0, "true"), "mistyped", "utilities.disutility[0].true: expected a string, got True"),
+    (("disutility", 0, "diagnosed"), "missing", "utilities.disutility[0]: missing key 'diagnosed'"),
+    (("disutility", 0, "diagnosed"), "mistyped", "utilities.disutility[0].diagnosed: expected a string, got True"),
+    (("disutility", 0, "micromorts"), "missing", "utilities.disutility[0]: missing key 'micromorts'"),
+    (("disutility", 0, "micromorts"), "mistyped", "utilities.disutility[0].micromorts: expected a number, got True"),
+]
+
+
+@pytest.mark.parametrize("path, fault, message", UTILITY_FIELD_FAULTS, ids=fault_ids(UTILITY_FIELD_FAULTS))
+def test_utility_field_fault_message(path, fault, message):
+    with pytest.raises(FileFormatError) as info:
+        load_utilities(json.dumps(with_fault(UTILITY_FILE, path, fault)).encode())
+    assert str(info.value) == message
 
 
 class TestWtpToMicromorts:

@@ -567,6 +567,22 @@ class TestEvaluateMethods:
         with pytest.raises(UnknownObservation, match=r"^unknown feature 'nope'$"):
             self.run(fixture_kb, [*fixture_cases, last], unmapped, iterations=1000)
 
+    @pytest.mark.parametrize("methods", [["simple_bayes"], ["simple_bayes", "odds_likelihood"]])
+    def test_iterations_below_the_floor_rejected_before_inference(
+        self, methods, fixture_kb, fixture_cases, fixture_utilities
+    ):
+        """With one method no permutation test runs, and -3 iterations used to
+        reach the report.  The floor is checked before any case is inferred:
+        the last case here would fail inference."""
+        last = CaseRecord(
+            id="zz",
+            observations=(Observation(feature="nope", value="x"),),
+            true_diagnosis="va",
+            gold_informed=fixture_cases[0].gold_informed,
+        )
+        with pytest.raises(ValueError, match=r"^iterations must be at least 1000, got -3$"):
+            self.run(fixture_kb, [*fixture_cases, last], fixture_utilities, methods=methods, iterations=-3)
+
     def test_gold_pair_requires_both_everywhere(self, fixture_kb, fixture_cases, fixture_utilities):
         cases = list(fixture_cases)
         cases[2] = dataclasses.replace(cases[2], gold_descriptive=None)

@@ -8,8 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from support import knowledge_bases
-from uncertain_dx.errors import AllHypothesesRuledOut, ValidationError
+from support import fault_ids, knowledge_bases, with_fault
+from uncertain_dx.errors import AllHypothesesRuledOut, FileFormatError, ValidationError
 from uncertain_dx.kb import (
     BeliefDistribution,
     ConditionalTable,
@@ -70,14 +70,10 @@ class TestLoadKb:
             load_kb(kb_bytes(doc))
 
     def test_parse_error_reports_location(self):
-        from uncertain_dx.errors import FileFormatError
-
         with pytest.raises(FileFormatError, match="line"):
             load_kb(b'{"diseases": [,]}')
 
     def test_missing_key_reports_field(self):
-        from uncertain_dx.errors import FileFormatError
-
         doc = json.loads(json.dumps(MINIMAL_KB))
         del doc["diseases"][1]["prior"]
         with pytest.raises(FileFormatError, match=r"diseases\[1\].*'prior'"):
@@ -86,12 +82,19 @@ class TestLoadKb:
     def test_repeated_conditional_entry_rejected(self):
         """A later entry for the same (feature, value, disease) used to win
         silently: p(v1 | d1) loaded as 0.9 after an earlier 0.5."""
-        from uncertain_dx.errors import FileFormatError
-
         doc = json.loads(json.dumps(MINIMAL_KB))
         doc["conditionals"][0]["probs"] = {"v1": 0.5}
         doc["conditionals"].append({"feature": "f1", "disease": "d1", "probs": {"v1": 0.9, "v2": 0.1}})
         with pytest.raises(FileFormatError, match=r"^conditionals\[2\]: repeats entry \('f1', 'v1', 'd1'\)$"):
+            load_kb(kb_bytes(doc))
+
+    def test_repeat_is_reported_before_a_later_fault(self):
+        """A repeated entry raises where it would be stored, so a fault in a
+        later entry (here a mistyped probability) is never reached."""
+        doc = json.loads(json.dumps(MINIMAL_KB))
+        doc["conditionals"].insert(1, dict(doc["conditionals"][0]))
+        doc["conditionals"][2]["probs"] = {"v1": "x", "v2": 0.8}
+        with pytest.raises(FileFormatError, match=r"^conditionals\[1\]: repeats entry \('f1', 'v1', 'd1'\)$"):
             load_kb(kb_bytes(doc))
 
     def test_row_split_over_entries_accepted(self):
@@ -105,6 +108,96 @@ class TestLoadKb:
         path.write_bytes(kb_bytes(MINIMAL_KB))
         with open(path, "rb") as fh:
             assert len(load_kb(fh).diseases) == 2
+
+
+# One document per field with the key missing and one with its value mistyped
+# (set to true), each with the message the loaders gave before every field went
+# through ``kb._field``.  Optional case fields and array elements have no
+# missing-key document.
+KB_FIELD_FAULTS = [
+    ((), "mistyped", "knowledge base: expected an object"),
+    (("diseases",), "missing", "knowledge base: missing key 'diseases'"),
+    (("diseases",), "mistyped", "diseases: expected an array"),
+    (("diseases", 0), "mistyped", "diseases[0]: expected an object"),
+    (("diseases", 0, "id"), "missing", "diseases[0]: missing key 'id'"),
+    (("diseases", 0, "id"), "mistyped", "diseases[0].id: expected a string, got True"),
+    (("diseases", 0, "name"), "missing", "diseases[0]: missing key 'name'"),
+    (("diseases", 0, "name"), "mistyped", "diseases[0].name: expected a string, got True"),
+    (("diseases", 0, "prior"), "missing", "diseases[0]: missing key 'prior'"),
+    (("diseases", 0, "prior"), "mistyped", "diseases[0].prior: expected a number, got True"),
+    (("diseases", 0, "class"), "missing", "diseases[0]: missing key 'class'"),
+    (("diseases", 0, "class"), "mistyped", "diseases[0].class: expected a string, got True"),
+    (("features",), "missing", "knowledge base: missing key 'features'"),
+    (("features",), "mistyped", "features: expected an array"),
+    (("features", 0), "mistyped", "features[0]: expected an object"),
+    (("features", 0, "id"), "missing", "features[0]: missing key 'id'"),
+    (("features", 0, "id"), "mistyped", "features[0].id: expected a string, got True"),
+    (("features", 0, "name"), "missing", "features[0]: missing key 'name'"),
+    (("features", 0, "name"), "mistyped", "features[0].name: expected a string, got True"),
+    (("features", 0, "values"), "missing", "features[0]: missing key 'values'"),
+    (("features", 0, "values"), "mistyped", "features[0].values: expected an array"),
+    (("features", 0, "values", 0), "mistyped", "features[0].values[0]: expected a string, got True"),
+    (("conditionals",), "missing", "knowledge base: missing key 'conditionals'"),
+    (("conditionals",), "mistyped", "conditionals: expected an array"),
+    (("conditionals", 0), "mistyped", "conditionals[0]: expected an object"),
+    (("conditionals", 0, "feature"), "missing", "conditionals[0]: missing key 'feature'"),
+    (("conditionals", 0, "feature"), "mistyped", "conditionals[0].feature: expected a string, got True"),
+    (("conditionals", 0, "disease"), "missing", "conditionals[0]: missing key 'disease'"),
+    (("conditionals", 0, "disease"), "mistyped", "conditionals[0].disease: expected a string, got True"),
+    (("conditionals", 0, "probs"), "missing", "conditionals[0]: missing key 'probs'"),
+    (("conditionals", 0, "probs"), "mistyped", "conditionals[0].probs: expected an object"),
+    (("conditionals", 0, "probs", "v1"), "mistyped", "conditionals[0].probs['v1']: expected a number, got True"),
+]
+CASE_FILE = [
+    {
+        "id": "x1",
+        "observations": [{"feature": "necrosis", "value": "focal"}],
+        "true_diagnosis": "va",
+        "gold_descriptive": {"va": 1.0},
+        "gold_informed": {"va": 1.0},
+        "expert_ratings": {"simple_bayes": 8},
+    }
+]
+CASE_FIELD_FAULTS = [
+    ((), "mistyped", "cases: expected an array"),
+    ((0,), "mistyped", "cases[0]: expected an object"),
+    ((0, "id"), "missing", "cases[0]: missing key 'id'"),
+    ((0, "id"), "mistyped", "cases[0].id: expected a string, got True"),
+    ((0, "observations"), "missing", "case 'x1': missing key 'observations'"),
+    ((0, "observations"), "mistyped", "case 'x1'.observations: expected an array"),
+    ((0, "observations", 0), "mistyped", "case 'x1'.observations[0]: expected an object"),
+    ((0, "observations", 0, "feature"), "missing", "case 'x1'.observations[0]: missing key 'feature'"),
+    ((0, "observations", 0, "feature"), "mistyped", "case 'x1'.observations[0].feature: expected a string, got True"),
+    ((0, "observations", 0, "value"), "missing", "case 'x1'.observations[0]: missing key 'value'"),
+    ((0, "observations", 0, "value"), "mistyped", "case 'x1'.observations[0].value: expected a string, got True"),
+    ((0, "true_diagnosis"), "mistyped", "case 'x1'.true_diagnosis: expected a string, got True"),
+    (
+        (0, "gold_descriptive"),
+        "mistyped",
+        "case 'x1'.gold_descriptive: expected an object mapping disease to probability",
+    ),
+    ((0, "gold_informed", "va"), "mistyped", "case 'x1'.gold_informed['va']: expected a number, got True"),
+    ((0, "expert_ratings"), "mistyped", "case 'x1'.expert_ratings: expected an object"),
+    (
+        (0, "expert_ratings", "simple_bayes"),
+        "mistyped",
+        "case 'x1'.expert_ratings['simple_bayes']: expected a number, got True",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, fault, message", KB_FIELD_FAULTS, ids=fault_ids(KB_FIELD_FAULTS))
+def test_kb_field_fault_message(path, fault, message):
+    with pytest.raises(FileFormatError) as info:
+        load_kb(kb_bytes(with_fault(MINIMAL_KB, path, fault)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, fault, message", CASE_FIELD_FAULTS, ids=fault_ids(CASE_FIELD_FAULTS))
+def test_case_field_fault_message(path, fault, message, fixture_kb):
+    with pytest.raises(FileFormatError) as info:
+        load_cases(kb_bytes(with_fault(CASE_FILE, path, fault)), fixture_kb)
+    assert str(info.value) == message
 
 
 class TestValidateKb:
