@@ -88,9 +88,14 @@ def _load_utilities(path: str, kb: KnowledgeBase | None) -> UtilityMatrix:
     return utilities
 
 
+# Every character str.splitlines() breaks at, mapped to its Python escape.
+_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode() for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _one_line(message: str) -> str:
-    """``message`` with CR and LF written as ``\\r`` and ``\\n``, so a file cannot forge an output line."""
-    return message.replace("\r", "\\r").replace("\n", "\\n")
+    """``message`` with every line break written as its escape (CR as ``\\r``,
+    LF as ``\\n``), so a file cannot forge an output line."""
+    return message.translate(_LINE_BREAKS)
 
 
 def _print_check(label: str, load: Callable, *args):
@@ -174,12 +179,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     likelihoods = _parse_csv_floats(args.likelihoods, "--likelihoods")
     if args.priors is None:
-        spec = synth.ReplicatedEvidenceSpec.uniform(likelihoods, n=1)
+        spec = synth.ReplicatedEvidenceSpec.uniform(likelihoods, n=args.n_max)
     else:
         priors = _parse_csv_floats(args.priors, "--priors")
-        spec = synth.ReplicatedEvidenceSpec(likelihoods=likelihoods, priors=priors, n=1)
-    points = synth.convergence_probe(spec, args.n_max)
-    _emit(synth.probe_tsv(points), args.out)
+        spec = synth.ReplicatedEvidenceSpec(likelihoods=likelihoods, priors=priors, n=args.n_max)
+    _emit(synth.probe_tsv(synth.convergence_probe(spec)), args.out)
     return EXIT_OK
 
 

@@ -95,15 +95,7 @@ def max_belief_diagnosis(p: BeliefDistribution) -> str:
 
     Works for any nonnegative belief vector, probabilistic or not.
     """
-    if not p.beliefs:
-        raise ValueError("empty belief distribution")
-    best_id = None
-    best = -math.inf
-    for disease in sorted(p.beliefs):
-        b = p.beliefs[disease]
-        if b > best:
-            best, best_id = b, disease
-    return best_id
+    return max(sorted(p.beliefs), key=p.beliefs.__getitem__)
 
 
 def expected_class_disutility(

@@ -262,8 +262,8 @@ def _table_violations(
         if len(set(f.values)) != len(f.values):
             continue
         for dis in disease_ids:
-            row = [entries[(f.id, v, dis)] for v in f.values if (f.id, v, dis) in entries]
-            if len(row) != len(f.values):
+            row = [entries.get((f.id, v, dis)) for v in f.values]
+            if None in row:
                 violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
                 continue
             try:

@@ -16,9 +16,11 @@ log-space tricks, deliberately limited to small instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
+# convergence_probe looks these up by name when it runs, so a replaced
+# synth.<calculus> (bench/spans.py patches them) is the one it calls.
 from .engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from .kb import (
     CALCULI,
@@ -128,28 +130,19 @@ class ProbePoint:
     naive_dempster_shafer: BeliefDistribution
 
 
-def convergence_probe(spec: ReplicatedEvidenceSpec, n_max: int) -> list[ProbePoint]:
-    """Run all three methods on 1..n_max replicated tokens.
+def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
+    """Run every calculus in ``CALCULI`` on 1..spec.n replicated tokens.
 
-    Returns the full trajectory so peakedness and washout behavior can
-    be plotted or asserted.
+    Builds one knowledge base of ``spec.n`` tokens; step n runs on its
+    first n observations, which gives the n-token result because the
+    calculi read only observed rows.  Returns the full trajectory so
+    peakedness and washout behavior can be plotted or asserted.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    # The calculi read only observed rows, so n of n_max tokens give the n-token result.
-    kb, observations = replicate_evidence_kb(replace(spec, n=n_max))
-    points = []
-    for n in range(1, n_max + 1):
-        first = observations[:n]
-        points.append(
-            ProbePoint(
-                n=n,
-                simple_bayes=simple_bayes(kb, first),
-                odds_likelihood=odds_likelihood(kb, first),
-                naive_dempster_shafer=naive_dempster_shafer(kb, first),
-            )
-        )
-    return points
+    kb, observations = replicate_evidence_kb(spec)
+    return [
+        ProbePoint(n=n, **{name: globals()[name](kb, observations[:n]) for name in CALCULI})
+        for n in range(1, spec.n + 1)
+    ]
 
 
 def probe_tsv(points: Sequence[ProbePoint]) -> str:

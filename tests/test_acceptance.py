@@ -107,7 +107,7 @@ def test_criterion_3_replicated_evidence_convergence():
     never moves a combined belief."""
     with criterion(3, "peaked/washed-out limits at n=50 plus exact zero-mass invariance"):
         with time_budget(1.0):
-            points = convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=1), 50)
+            points = convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=50))
             final = points[-1]
             assert abs(final.simple_bayes.beliefs["h1"] - 1.0) < 1e-6
             assert abs(final.simple_bayes.beliefs["h2"]) < 1e-6

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uncertain_dx.cli import main
+from uncertain_dx.cli import _one_line, main
 
 KB = "tests/data/fixture_kb.json"
 CASES = "tests/data/fixture_cases.json"
@@ -64,6 +65,18 @@ class TestValidateCommand:
         assert not any(line.startswith("kb: OK") for line in lines)
         assert "kb: conditional (zz\\nkb: OK, absent, va): unknown feature" in lines
 
+    @pytest.mark.parametrize("line_break, escape", [("\x0b", "\\x0b"), ("\u2028", "\\u2028")])
+    def test_any_line_break_in_a_violation_cannot_forge_an_ok_line(self, tmp_path, capsys, line_break, escape):
+        """VT and U+2028 end a line for str.splitlines() just as LF does."""
+        doc = json.loads(open(KB).read())
+        doc["conditionals"].append({"feature": f"zz{line_break}kb: OK", "disease": "va", "probs": {"absent": 1.0}})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--kb", str(bad)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("kb: OK") for line in lines)
+        assert f"kb: conditional (zz{escape}kb: OK, absent, va): unknown feature" in lines
+
 
 def _set_first_prior(value):
     def edit(doc):
@@ -102,6 +115,8 @@ MALFORMED = {
     "case-id-with-line-break": (CASES, lambda doc: doc[-1].update(id="c5\tall\n[significance]")),
     # A line break in a located key used to split the message over two lines.
     "line-break-in-probs-key": (KB, lambda doc: doc["conditionals"][0]["probs"].update({"x\nkb: OK": "bad"})),
+    # str.splitlines() also breaks at NEL (U+0085), VT, FF, U+2028 and others.
+    "next-line-in-probs-key": (KB, lambda doc: doc["conditionals"][0]["probs"].update({"x\x85kb: OK": "bad"})),
 }
 
 
@@ -120,7 +135,7 @@ def test_malformed_document_exits_2(name, tmp_path, capsys):
     for command in (["validate"], ["evaluate", "--iterations", "1000"]):
         assert main(command + files) == 2
         err = capsys.readouterr().err
-        assert err.startswith("FileFormatError: ") and err.count("\n") == 1
+        assert err.startswith("FileFormatError: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
 
 
 def _paths(doc, prefix=()):
@@ -194,6 +209,14 @@ def test_any_document_exits_0_2_or_3_with_well_formed_tsv(data):
         if infer == 0:
             for line in out.read_text().split("\n")[:-1]:
                 assert line.startswith("# ") or len(line.split("\t")) == 2, line
+
+
+def test_one_line_escapes_every_line_break():
+    """No code point survives as a line break, and CR and LF keep their
+    ``\\r`` and ``\\n`` escapes byte for byte."""
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert len(_one_line(every_code_point).splitlines()) == 1
+    assert _one_line("a\r\nb\x0cc") == "a\\r\\nb\\x0cc"
 
 
 class TestInferCommand:
@@ -348,6 +371,7 @@ class TestProbeCommand:
 
     def test_n_max_zero_exits_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8,0.6,0.2", "--n-max", "0"]) == 2
+        assert capsys.readouterr().err == "ValueError: n must be at least 1, got 0\n"
 
     def test_bad_priors_exit_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8,0.2", "--priors", "0.9,0.2", "--n-max", "2"]) == 2

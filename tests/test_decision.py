@@ -9,7 +9,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from support import fault_ids, with_fault
@@ -86,6 +86,32 @@ class TestMaxBelief:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             max_belief_diagnosis(BeliefDistribution(beliefs={}, pre_norm_sum=0.0, method="external"))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text("abAB_0", min_size=1, max_size=3),
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(0.0, 4.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example({"b": 1.0, "a": 1.0, "c": -0.0, "d": 0.0})
+    @example({"a": -0.0, "b": 0.0, "c": 2.0})
+    def test_matches_a_strict_scan_over_sorted_ids(self, weights):
+        """The rule's first form, a strict ``>`` scan over ids in sorted
+        order, and the first entry of ``sorted_items`` pick the same
+        disease: ties (0.0 and -0.0 included) go to the smallest id."""
+        total = math.fsum(weights.values())
+        assume(total > 0.0)
+        p = BeliefDistribution(
+            beliefs={d: w / total for d, w in weights.items()}, pre_norm_sum=1.0, method="external"
+        )
+        best_id, best = None, -math.inf
+        for disease in sorted(p.beliefs):
+            if p.beliefs[disease] > best:
+                best, best_id = p.beliefs[disease], disease
+        assert max_belief_diagnosis(p) == best_id == p.sorted_items()[0][0]
 
     @settings(max_examples=100, deadline=None)
     @given(

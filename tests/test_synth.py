@@ -19,7 +19,7 @@ from uncertain_dx.synth import (
     replicate_evidence_kb,
 )
 
-SPEC_PROBE = ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=1)
+SPEC_PROBE = ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=50)
 
 
 class TestReplicatedEvidenceSpec:
@@ -131,7 +131,8 @@ class TestBruteForcePosterior:
 
 class TestConvergenceProbe:
     def test_trajectory_limits(self):
-        points = convergence_probe(SPEC_PROBE, n_max=50)
+        points = convergence_probe(SPEC_PROBE)
+        assert [p.n for p in points] == list(range(1, 51))
         final = points[-1]
         assert final.n == 50
         assert final.simple_bayes.beliefs["h1"] == pytest.approx(1.0, abs=1e-6)
@@ -144,7 +145,7 @@ class TestConvergenceProbe:
         assert final.naive_dempster_shafer.beliefs["h3"] > 0.0
 
     def test_trajectory_matches_brute_force(self):
-        for point in convergence_probe(SPEC_PROBE, n_max=12):
+        for point in convergence_probe(replace(SPEC_PROBE, n=12)):
             kb, observations = replicate_evidence_kb(
                 ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=point.n)
             )
@@ -155,40 +156,36 @@ class TestConvergenceProbe:
     @pytest.mark.parametrize(
         "spec",
         [
-            SPEC_PROBE,
-            ReplicatedEvidenceSpec(likelihoods=(0.0, 1.0, 0.3), priors=(0.2, 0.5, 0.3), n=1),
-            ReplicatedEvidenceSpec(likelihoods=(1.0, 1.0), priors=(0.6, 0.4), n=1),
+            replace(SPEC_PROBE, n=25),
+            ReplicatedEvidenceSpec(likelihoods=(0.0, 1.0, 0.3), priors=(0.2, 0.5, 0.3), n=25),
+            ReplicatedEvidenceSpec(likelihoods=(1.0, 1.0), priors=(0.6, 0.4), n=25),
         ],
     )
     def test_trajectory_equals_per_step_knowledge_bases(self, spec):
-        """The probe runs step n on the first n tokens of one n_max-token
+        """The probe runs step n on the first n tokens of one spec.n-token
         knowledge base; each step equals a fresh n-token one bit for bit."""
-        for point in convergence_probe(spec, n_max=25):
+        for point in convergence_probe(spec):
             kb, observations = replicate_evidence_kb(replace(spec, n=point.n))
             assert point.simple_bayes == simple_bayes(kb, observations)
             assert point.odds_likelihood == odds_likelihood(kb, observations)
             assert point.naive_dempster_shafer == naive_dempster_shafer(kb, observations)
 
     def test_peakedness_is_monotone_and_dominates_odds(self):
-        points = convergence_probe(SPEC_PROBE, n_max=30)
+        points = convergence_probe(replace(SPEC_PROBE, n=30))
         top = [max(p.simple_bayes.beliefs.values()) for p in points]
         assert all(b >= a - 1e-12 for a, b in zip(top, top[1:]))
         for point in points[1:]:
             assert max(point.simple_bayes.beliefs.values()) >= max(point.odds_likelihood.beliefs.values())
 
     def test_uninformative_token_returns_priors_at_every_n(self):
-        spec = ReplicatedEvidenceSpec(likelihoods=(0.5, 0.5), priors=(0.7, 0.3), n=1)
-        for point in convergence_probe(spec, n_max=10):
+        spec = ReplicatedEvidenceSpec(likelihoods=(0.5, 0.5), priors=(0.7, 0.3), n=10)
+        for point in convergence_probe(spec):
             for dist in (point.simple_bayes, point.odds_likelihood):
                 assert dist.beliefs["h1"] == pytest.approx(0.7, abs=1e-9)
                 assert dist.beliefs["h2"] == pytest.approx(0.3, abs=1e-9)
 
-    def test_invalid_n_max(self):
-        with pytest.raises(ValueError, match="n_max"):
-            convergence_probe(SPEC_PROBE, n_max=0)
-
     def test_probe_tsv_shape(self):
-        points = convergence_probe(SPEC_PROBE, n_max=50)
+        points = convergence_probe(SPEC_PROBE)
         lines = probe_tsv(points).splitlines()
         assert lines[0] == "n\tmethod\tdisease\tbelief"
         assert len(lines) == 1 + 50 * 3 * 3
