@@ -22,7 +22,8 @@ import functools
 import json
 import math
 import random
-from dataclasses import astuple, dataclass
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from statistics import NormalDist
@@ -88,40 +89,9 @@ class CaseWeight:
             raise ValueError(f"weight for '{self.case_id}' outside [0, 1]: {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class DecisionRow:
-    label: str
-    absolute_mean: float
-    diff_mean: float | None = None
-    diff_sd: float | None = None
-    agreement: tuple[int, int] | None = None  # (matching diagnoses, cases)
-
-
-@dataclass(frozen=True)
-class ExpertRow:
-    label: str
-    mean: float
-    sd: float
-
-
-@dataclass(frozen=True)
-class SignificanceResult:
-    comparison: str
-    test: str
-    statistic: float
-    asl: float
-    seed: int | None = None
-    iterations: int | None = None
-
-
-@dataclass(frozen=True)
-class Exclusion:
-    case_id: str
-    reason: str
-
-
 # Column names of each report section, in report order: the TSV header
-# rows, the JSON keys and the ``evaluate`` help text.
+# rows, the JSON keys, the ``evaluate`` help text and the fields of the
+# section's row type.
 REPORT_COLUMNS = {
     "decision_theoretic": ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd", "gold_agreement"),
     "gold_standards": ("row", "absolute_mean_micromorts", "diff_mean", "diff_sd"),
@@ -129,6 +99,14 @@ REPORT_COLUMNS = {
     "significance": ("comparison", "test", "statistic", "asl", "seed", "iterations"),
     "exclusions": ("case", "reason"),
 }
+
+# Each section's row type: a named tuple of its columns, so a row is the
+# values it prints, and a value left out is None, printed as missing.
+DecisionRow = namedtuple("DecisionRow", REPORT_COLUMNS["decision_theoretic"], defaults=(None,) * 3)
+GoldRow = namedtuple("GoldRow", REPORT_COLUMNS["gold_standards"], defaults=(None,) * 2)
+ExpertRow = namedtuple("ExpertRow", REPORT_COLUMNS["expert_ratings"])
+SignificanceResult = namedtuple("SignificanceResult", REPORT_COLUMNS["significance"], defaults=(None,) * 2)
+Exclusion = namedtuple("Exclusion", REPORT_COLUMNS["exclusions"])
 
 # TSV cell format per report column; micromorts print as integers, other
 # columns as ``str``, and a missing value as ``-``.
@@ -148,29 +126,21 @@ class EvaluationReport:
     gold_source: str
     case_count: int
     decision_rows: tuple[DecisionRow, ...]
-    gold_rows: tuple[DecisionRow, ...]
+    gold_rows: tuple[GoldRow, ...]
     expert_rows: tuple[ExpertRow, ...]
     significance: tuple[SignificanceResult, ...]
     exclusions: tuple[Exclusion, ...]
     seed: int
     iterations: int
 
-    def _sections(self) -> list[tuple[str, tuple[str, ...], list[tuple]]]:
-        """(section name, column names, rows of raw values) in report order.
-
-        Each row holds its dataclass's fields in column order; a decision
-        row prints its agreement as "k of n"."""
-
-        def decision(row: DecisionRow) -> tuple:
-            agreement = None if row.agreement is None else "{} of {}".format(*row.agreement)
-            return (*astuple(row)[:4], agreement)
-
+    def _sections(self) -> list[tuple[str, tuple[str, ...], tuple[tuple, ...]]]:
+        """(section name, column names, rows) in report order."""
         rows = {
-            "decision_theoretic": [decision(r) for r in self.decision_rows],
-            "gold_standards": [decision(r)[:4] for r in self.gold_rows],
-            "expert_ratings": [astuple(r) for r in self.expert_rows],
-            "significance": [astuple(r) for r in self.significance],
-            "exclusions": [astuple(r) for r in self.exclusions],
+            "decision_theoretic": self.decision_rows,
+            "gold_standards": self.gold_rows,
+            "expert_ratings": self.expert_rows,
+            "significance": self.significance,
+            "exclusions": self.exclusions,
         }
         return [(name, columns, rows[name]) for name, columns in REPORT_COLUMNS.items()]
 
@@ -477,19 +447,19 @@ def evaluate_methods(
             agreement[row] += dx == dx_gold
     diffs = {row: [r - g for r, g in zip(rated, gold_ratings)] for row, rated in ratings.items()}
 
-    def rated_row(label: str, row: str, agree: tuple[int, int] | None = None) -> DecisionRow:
-        absolute, _ = weighted_mean_sd(ratings[row], weights)
-        return DecisionRow(label, absolute, *weighted_mean_sd(diffs[row], weights), agree)
+    def means(row: str) -> tuple[float, float, float]:
+        """(absolute mean, diff mean, diff sd) of one rated row."""
+        return (weighted_mean_sd(ratings[row], weights)[0], *weighted_mean_sd(diffs[row], weights))
 
     n_cases = len(included)
     gold_mean, _ = weighted_mean_sd(gold_ratings, weights)
-    decision_rows = [DecisionRow(label=GOLD_ROW_LABELS[gold_source], absolute_mean=gold_mean)]
-    for method in ordered_methods:
-        decision_rows.append(rated_row(METHODS[method][0], method, (agreement[method], n_cases)))
+    decision_rows = [DecisionRow(GOLD_ROW_LABELS[gold_source], gold_mean)]
+    for m in ordered_methods:
+        decision_rows.append(DecisionRow(METHODS[m][0], *means(m), f"{agreement[m]} of {n_cases}"))
 
     gold_rows = (
-        DecisionRow(label=GOLD_PAIR_LABELS[gold_source], absolute_mean=gold_mean),
-        rated_row(GOLD_PAIR_LABELS[other_source], other_source),
+        GoldRow(GOLD_PAIR_LABELS[gold_source], gold_mean),
+        GoldRow(GOLD_PAIR_LABELS[other_source], *means(other_source)),
     ) if other_source in rules else ()
 
     summary: dict[str, tuple[float, float]] = {}
@@ -505,15 +475,10 @@ def evaluate_methods(
             first, second = second, first
             paired = [-d for d in paired]
             observed = -observed
+        comparison = f"{METHODS[first][0]} vs {METHODS[second][0]}"
+        asl = permutation_test(paired, weights, iterations, seed)
         significance.append(
-            SignificanceResult(
-                comparison=f"{METHODS[first][0]} vs {METHODS[second][0]}",
-                test="monte_carlo_permutation",
-                statistic=observed,
-                asl=permutation_test(paired, weights, iterations, seed),
-                seed=seed,
-                iterations=iterations,
-            )
+            SignificanceResult(comparison, "monte_carlo_permutation", observed, asl, seed, iterations)
         )
     for first, second in combinations(summary, 2):
         # Higher ratings are better; test whether the better-rated
@@ -522,15 +487,8 @@ def evaluate_methods(
             first, second = second, first
         a = [c.expert_ratings[first] for c in included]
         b = [c.expert_ratings[second] for c in included]
-        statistic, asl = _rank_sum_test(a, b)
-        significance.append(
-            SignificanceResult(
-                comparison=f"{METHODS[first][0]} vs {METHODS[second][0]}",
-                test="wilcoxon_rank_sum",
-                statistic=statistic,
-                asl=asl,
-            )
-        )
+        comparison = f"{METHODS[first][0]} vs {METHODS[second][0]}"
+        significance.append(SignificanceResult(comparison, "wilcoxon_rank_sum", *_rank_sum_test(a, b)))
 
     return EvaluationReport(
         gold_source=gold_source,

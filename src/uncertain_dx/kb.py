@@ -213,10 +213,7 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
     if not kb.diseases:
         violations.append("knowledge base has no diseases")
     else:
-        try:
-            total = math.fsum(d.prior for d in kb.diseases)
-        except ValueError:  # inf + -inf
-            total = math.nan
+        total = _fsum(d.prior for d in kb.diseases)
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             violations.append(f"disease priors must sum to 1 (got {total!r})")
 
@@ -266,13 +263,21 @@ def _table_violations(
             if None in row:
                 violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
                 continue
-            try:
-                s = math.fsum(row)
-            except ValueError:  # inf + -inf
-                s = math.nan
+            s = _fsum(row)
             if abs(s - 1.0) > PROB_SUM_TOL:
                 violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
     return violations
+
+
+def _fsum(values) -> float:
+    """``math.fsum``, except that inf + -inf reads as nan and a sum that
+    overflows as inf: neither lies within any tolerance of 1."""
+    try:
+        return math.fsum(values)
+    except ValueError:  # inf + -inf
+        return math.nan
+    except OverflowError:
+        return math.inf
 
 
 def _check_observation(kb: KnowledgeBase, obs: Observation, seen: set[str]) -> None:
@@ -465,7 +470,7 @@ def _load_gold(raw, where: str, kb: KnowledgeBase, violations: list[str]) -> Bel
             violations.append(f"{where}: negative probability for '{dis}'")
             return None
         dist[dis] = value
-    total = math.fsum(dist.values())
+    total = _fsum(dist.values())
     if abs(total - 1.0) > GOLD_SUM_TOL:
         violations.append(f"{where}: probabilities sum to {total!r}, expected 1 within {GOLD_SUM_TOL}")
         return None

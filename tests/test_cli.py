@@ -77,6 +77,70 @@ class TestValidateCommand:
         assert not any(line.startswith("kb: OK") for line in lines)
         assert f"kb: conditional (zz{escape}kb: OK, absent, va): unknown feature" in lines
 
+    @pytest.mark.parametrize(
+        "target, edit, lines",
+        [
+            (
+                KB,
+                lambda doc: [d.update(prior=1e308) for d in doc["diseases"][:2]],
+                [
+                    "kb: disease 'va': prior 1e+308 exceeds 1",
+                    "kb: disease 'csd': prior 1e+308 exceeds 1",
+                    "kb: disease priors must sum to 1 (got inf)",
+                ],
+            ),
+            (
+                KB,
+                lambda doc: doc["conditionals"][0]["probs"].update(absent=1e308, focal=1e308),
+                [
+                    "kb: conditional (necrosis, absent, va): probability 1e+308 outside [0, 1]",
+                    "kb: conditional (necrosis, focal, va): probability 1e+308 outside [0, 1]",
+                    "kb: conditional row (necrosis, va): sums to inf, expected 1",
+                ],
+            ),
+            (
+                CASES,
+                lambda doc: doc[0]["gold_informed"].update(va=1e308, csd=1e308),
+                ["kb: OK", "cases: case 'c1'.gold_informed: probabilities sum to inf, expected 1 within 1e-06"],
+            ),
+        ],
+        ids=["priors", "conditional-row", "gold"],
+    )
+    def test_overflowing_sum_is_a_violation(self, tmp_path, capsys, target, edit, lines):
+        """Two huge values overflow math.fsum; the sum reads as inf, not a traceback."""
+        doc = json.loads(open(target).read())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        paths = {KB: KB, CASES: CASES, target: str(bad)}
+        assert main(["validate", "--kb", paths[KB], "--cases", paths[CASES]]) == 2
+        assert capsys.readouterr().out.splitlines() == lines
+
+
+# The fixture KB with two diseases moved to other classes: 'va' to a class the
+# utility model maps it elsewhere, 'fl' to one the utility model lacks.
+COVERAGE_VIOLATIONS = [
+    "disease 'va': knowledge base class 'hodgkin' differs from utility expansion 'benign'",
+    "disease 'fl': knowledge base class 'lymphoma' differs from utility expansion 'nhl'",
+    "disease 'fl': equivalence class 'lymphoma' missing from the utility model",
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_utility_coverage_violations_exit_2(command, tmp_path, capsys):
+    doc = json.loads(open(KB).read())
+    classes = {"va": "hodgkin", "fl": "lymphoma"}
+    for disease in doc["diseases"]:
+        disease["class"] = classes.get(disease["id"], disease["class"])
+    bad = tmp_path / "kb.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, "--kb", str(bad), "--cases", CASES, "--utilities", UTILITIES]) == 2
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert out.splitlines() == ["kb: OK", "cases: OK", *(f"utilities: {v}" for v in COVERAGE_VIOLATIONS)]
+    else:
+        assert (out, err) == ("", f"ValidationError: {'; '.join(COVERAGE_VIOLATIONS)}\n")
+
 
 def _set_first_prior(value):
     def edit(doc):
@@ -265,6 +329,18 @@ class TestInferCommand:
         assert main(["infer", "--kb", KB, "--cases", str(bad), "--case", "c1"]) == 2
         err = capsys.readouterr().err
         assert err == "ValidationError: case 'c1'.observations[4]: unknown feature 'q\\ncases: OK'\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--cases", CASES, "--case", "c1", "necrosis=absent"], "give either --case or inline observations, not both"),
+            (["--case", "c1"], "--case requires --cases"),
+        ],
+        ids=["case-and-observations", "case-without-cases"],
+    )
+    def test_case_option_misuse_exits_2(self, capsys, args, message):
+        assert main(["infer", "--kb", KB, *args]) == 2
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
 
     def test_missing_case_id(self, capsys):
         assert main(["infer", "--kb", KB, "--cases", CASES, "--case", "zz"]) == 2

@@ -83,10 +83,6 @@ class TestMaxBelief:
     def test_single_disease(self):
         assert max_belief_diagnosis(dist(only=1.0)) == "only"
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_belief_diagnosis(BeliefDistribution(beliefs={}, pre_norm_sum=0.0, method="external"))
-
     @settings(max_examples=500, deadline=None)
     @given(
         st.dictionaries(
@@ -303,6 +299,19 @@ class TestUtilityMatrixValidation:
     def test_expansion_to_unknown_class_rejected(self):
         with pytest.raises(ValidationError, match="unknown class"):
             matrix(("a",), {("a", "a"): 0}, {"d": "zzz"})
+
+    @pytest.mark.parametrize(
+        "classes, table, violation",
+        [
+            (("a", "a"), {("a", "a"): 0}, "duplicate equivalence-class ids"),
+            (("a",), {("a", "a"): 0, ("a", "z"): 1}, "disutility entry (a, z): unknown class"),
+        ],
+        ids=["duplicate-class", "unknown-class"],
+    )
+    def test_violation_message(self, classes, table, violation):
+        with pytest.raises(ValidationError) as raised:
+            matrix(classes, table, {})
+        assert raised.value.violations == [violation]
 
     def test_load_utilities_file(self, data_dir):
         u = load_utilities(data_dir / "fixture_utilities.json")

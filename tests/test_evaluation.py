@@ -22,6 +22,7 @@ from uncertain_dx.errors import (
     MissingRatings,
     MissingTrueDiagnosis,
     UnknownObservation,
+    ValidationError,
 )
 from uncertain_dx.evaluation import (
     CaseWeight,
@@ -423,14 +424,14 @@ class TestEvaluateMethods:
 
     def test_row_labels_and_order(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)
-        assert [row.label for row in report.decision_rows] == [
+        assert [row.row for row in report.decision_rows] == [
             "Informed gold standard",
             "Simple Bayes-MEU",
             "Simple Bayes",
             "Odds-likelihood",
             "Naive Dempster-Shafer",
         ]
-        assert [row.label for row in report.gold_rows] == [
+        assert [row.row for row in report.gold_rows] == [
             "Informed Gold Standard",
             "Descriptive Gold Standard",
         ]
@@ -442,21 +443,44 @@ class TestEvaluateMethods:
         only on c4 (by 17500) and the combination rule also on c4
         (by 177150)."""
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)
-        rows = {row.label: row for row in report.decision_rows}
-        assert rows["Informed gold standard"].absolute_mean == pytest.approx(93940.0, abs=1e-6)
+        rows = {row.row: row for row in report.decision_rows}
+        assert rows["Informed gold standard"].absolute_mean_micromorts == pytest.approx(93940.0, abs=1e-6)
         for label in ("Simple Bayes-MEU", "Simple Bayes", "Odds-likelihood"):
             assert rows[label].diff_mean == pytest.approx(17500 * 2 / 15, abs=1e-6)
         assert rows["Naive Dempster-Shafer"].diff_mean == pytest.approx(177150 * 2 / 15, abs=1e-6)
-        assert rows["Simple Bayes-MEU"].agreement == (3, 4)
-        assert rows["Naive Dempster-Shafer"].agreement == (1, 4)
+        assert rows["Simple Bayes-MEU"].gold_agreement == "3 of 4"
+        assert rows["Naive Dempster-Shafer"].gold_agreement == "1 of 4"
         assert report.gold_rows[1].diff_mean == pytest.approx(17500 * 2 / 15, abs=1e-6)
 
     def test_poisoned_case_excluded_with_reason(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)
         assert report.case_count == 4
-        assert [(e.case_id, e.reason) for e in report.exclusions] == [
+        assert [(e.case, e.reason) for e in report.exclusions] == [
             ("c5", "simple_bayes: AllHypothesesRuledOut")
         ]
+
+    def test_no_cases_remain_after_exclusions(self, fixture_kb, fixture_cases, fixture_utilities):
+        with pytest.raises(ValidationError) as raised:
+            self.run(fixture_kb, [fixture_cases[4]], fixture_utilities)
+        assert raised.value.violations == ["no cases remain after exclusions"]
+
+    def test_each_row_is_a_named_tuple_of_its_section_columns(self, fixture_kb, fixture_cases, fixture_utilities):
+        """``REPORT_COLUMNS`` alone defines a row: each section's row type has
+        exactly its columns as fields, and the report pairs each section
+        with rows of that type only.  The fixture report fills every section."""
+        row_types = {
+            "decision_theoretic": evaluation.DecisionRow,
+            "gold_standards": evaluation.GoldRow,
+            "expert_ratings": evaluation.ExpertRow,
+            "significance": evaluation.SignificanceResult,
+            "exclusions": evaluation.Exclusion,
+        }
+        report = self.run(fixture_kb, fixture_cases, fixture_utilities)
+        sections = report._sections()
+        assert [name for name, _, _ in sections] == list(evaluation.REPORT_COLUMNS) == list(row_types)
+        for name, columns, rows in sections:
+            assert row_types[name]._fields == columns == evaluation.REPORT_COLUMNS[name]
+            assert rows and all(type(row) is row_types[name] for row in rows)
 
     def test_gold_never_beaten_on_fixture(self, fixture_kb, fixture_cases, fixture_utilities):
         """Recompute the per-case identity with public operations: the gold
@@ -509,25 +533,25 @@ class TestEvaluateMethods:
         )
         for row in report.decision_rows[1:]:
             assert row.diff_mean == 0.0
-            assert row.agreement == (3, 3)
+            assert row.gold_agreement == "3 of 3"
         assert all(r.asl == 1.0 for r in report.significance if r.test == "monte_carlo_permutation")
 
     def test_descriptive_gold_source(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities, gold_source="descriptive")
-        assert report.decision_rows[0].label == "Descriptive gold standard"
-        assert [row.label for row in report.gold_rows] == [
+        assert report.decision_rows[0].row == "Descriptive gold standard"
+        assert [row.row for row in report.gold_rows] == [
             "Descriptive Gold Standard",
             "Informed Gold Standard",
         ]
 
     def test_expert_rows_cover_distribution_methods(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities)
-        assert [row.label for row in report.expert_rows] == [
+        assert [row.method for row in report.expert_rows] == [
             "Simple Bayes",
             "Odds-likelihood",
             "Naive Dempster-Shafer",
         ]
-        by_label = {r.label: r for r in report.expert_rows}
+        by_label = {r.method: r for r in report.expert_rows}
         assert by_label["Simple Bayes"].mean == pytest.approx(8.2333333, abs=1e-6)
         assert by_label["Odds-likelihood"].mean == pytest.approx(7.3333333, abs=1e-6)
         assert by_label["Naive Dempster-Shafer"].mean == pytest.approx(0.6333333, abs=1e-6)
@@ -607,7 +631,7 @@ class TestEvaluateMethods:
 
     def test_subset_of_methods(self, fixture_kb, fixture_cases, fixture_utilities):
         report = self.run(fixture_kb, fixture_cases, fixture_utilities, methods=["simple_bayes"])
-        assert [row.label for row in report.decision_rows] == [
+        assert [row.row for row in report.decision_rows] == [
             "Informed gold standard",
             "Simple Bayes",
         ]

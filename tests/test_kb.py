@@ -73,6 +73,14 @@ class TestLoadKb:
         with pytest.raises(FileFormatError, match="line"):
             load_kb(b'{"diseases": [,]}')
 
+    def test_invalid_utf8_reports_the_decoder_error(self):
+        with pytest.raises(FileFormatError) as info:
+            load_kb(b'{"diseases": "\xff"}')
+        assert str(info.value) == (
+            "knowledge base: not valid UTF-8 "
+            "('utf-8' codec can't decode byte 0xff in position 14: invalid start byte)"
+        )
+
     def test_missing_key_reports_field(self):
         doc = json.loads(json.dumps(MINIMAL_KB))
         del doc["diseases"][1]["prior"]
@@ -258,6 +266,42 @@ class TestValidateKb:
             KnowledgeBase(kb.diseases, kb.features, ConditionalTable(entries))
         assert any("missing value entries" in v for v in raised.value.violations)
 
+    @pytest.mark.parametrize(
+        "edit, violations",
+        [
+            (lambda doc: doc["features"].append(dict(doc["features"][0])), ["feature 'f1': duplicate id"]),
+            (lambda doc: doc["features"][0].update(values=["v1", "v2", "v1"]), ["feature 'f1': duplicate value ids"]),
+            (
+                lambda doc: doc["conditionals"][0]["probs"].update(v3=0.0),
+                ["conditional (f1, v3, d1): unknown value"],
+            ),
+            # Two huge values overflow math.fsum; the sum reads as inf.
+            (
+                lambda doc: [d.update(prior=1e308) for d in doc["diseases"]],
+                [
+                    "disease 'd1': prior 1e+308 exceeds 1",
+                    "disease 'd2': prior 1e+308 exceeds 1",
+                    "disease priors must sum to 1 (got inf)",
+                ],
+            ),
+            (
+                lambda doc: doc["conditionals"][0]["probs"].update(v1=1e308, v2=1e308),
+                [
+                    "conditional (f1, v1, d1): probability 1e+308 outside [0, 1]",
+                    "conditional (f1, v2, d1): probability 1e+308 outside [0, 1]",
+                    "conditional row (f1, d1): sums to inf, expected 1",
+                ],
+            ),
+        ],
+        ids=["duplicate-feature-id", "duplicate-value-ids", "unknown-value", "overflowing-priors", "overflowing-row"],
+    )
+    def test_violation_messages(self, edit, violations):
+        doc = json.loads(json.dumps(MINIMAL_KB))
+        edit(doc)
+        with pytest.raises(ValidationError) as raised:
+            load_kb(kb_bytes(doc))
+        assert raised.value.violations == violations
+
     @settings(max_examples=50, deadline=None)
     @given(knowledge_bases())
     def test_serialize_load_round_trip(self, kb):
@@ -291,6 +335,22 @@ class TestBeliefDistribution:
     def test_unknown_method_tag_rejected(self):
         with pytest.raises(ValueError, match="method"):
             BeliefDistribution(beliefs={"a": 1.0}, pre_norm_sum=1.0, method="guesswork")
+
+    @pytest.mark.parametrize(
+        "beliefs, pre_norm_sum, message",
+        [
+            # No decision rule needs an empty-input branch: this is rejected first.
+            ({}, 0.0, "beliefs sum to 0.0, expected 1 within 1e-09"),
+            ({"a": 1.0}, -1.0, "pre_norm_sum must be nonnegative"),
+            ({"a": 1.5, "b": -0.5}, 1.0, "belief for 'a' outside [0, 1]: 1.5"),
+            ({"a": 0.5, "b": -0.5, "c": 1.0}, 1.0, "belief for 'b' outside [0, 1]: -0.5"),
+        ],
+        ids=["empty", "negative-pre-norm-sum", "belief-above-one", "negative-belief"],
+    )
+    def test_invalid_distribution_rejected(self, beliefs, pre_norm_sum, message):
+        with pytest.raises(ValueError) as raised:
+            BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="external")
+        assert str(raised.value) == message
 
     def test_sorted_items_descending_with_id_tiebreak(self):
         dist = BeliefDistribution(
@@ -356,6 +416,29 @@ class TestLoadCases:
         doc = self.case_doc(gold_informed={"nope": 1.0})
         with pytest.raises(ValidationError, match="unknown disease 'nope'"):
             load_cases(kb_bytes(doc), fixture_kb)
+
+    def test_duplicate_case_id(self, fixture_kb):
+        with pytest.raises(ValidationError) as raised:
+            load_cases(kb_bytes(self.case_doc() * 2), fixture_kb)
+        assert raised.value.violations == ["case 'x1': duplicate case id"]
+
+    @pytest.mark.parametrize(
+        "overrides, violation",
+        [
+            ({"true_diagnosis": "nope"}, "case 'x1': unknown true diagnosis 'nope'"),
+            ({"gold_informed": {"va": -0.5, "csd": 1.5}}, "case 'x1'.gold_informed: negative probability for 'va'"),
+            # Two huge values overflow math.fsum; the sum reads as inf.
+            (
+                {"gold_informed": {"va": 1e308, "csd": 1e308}},
+                "case 'x1'.gold_informed: probabilities sum to inf, expected 1 within 1e-06",
+            ),
+        ],
+        ids=["unknown-true-diagnosis", "negative-gold", "overflowing-gold"],
+    )
+    def test_violation_message(self, fixture_kb, overrides, violation):
+        with pytest.raises(ValidationError) as raised:
+            load_cases(kb_bytes(self.case_doc(**overrides)), fixture_kb)
+        assert raised.value.violations == [violation]
 
     def test_optional_fields_may_be_absent(self, fixture_kb):
         doc = [{"id": "bare", "observations": []}]
