@@ -39,7 +39,9 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product
 from typing import IO, Mapping, Sequence
 
 from .errors import (
@@ -213,7 +215,7 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
     if not kb.diseases:
         violations.append("knowledge base has no diseases")
     else:
-        total = _fsum(d.prior for d in kb.diseases)
+        total = _fsum([d.prior for d in kb.diseases])
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             violations.append(f"disease priors must sum to 1 (got {total!r})")
 
@@ -239,45 +241,49 @@ def _table_violations(
     entries: Mapping[tuple[str, str, str], float],
 ) -> list[str]:
     """The dense-table rule: every entry names a known feature, value and
-    disease and lies in [0, 1], and every (feature, disease) row is
-    complete and sums to 1."""
-    violations: list[str] = []
-    valid_values = {f.id: set(f.values) for f in features}
-    known_diseases = set(disease_ids)
-    for (feat, value, dis), p in entries.items():
-        if feat not in valid_values:
-            violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
-            continue
-        if value not in valid_values[feat]:
-            violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
-        if dis not in known_diseases:
-            violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
-        if not 0.0 <= p <= 1.0:
-            violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
-
+    disease and lies in [0, 1], and every (feature, disease) row is complete
+    and sums to 1.  Entries are named one by one only if some breaks the rule."""
+    rows: list[str] = []
+    found = 0  # entries read by the row checks; a repeated id would read one twice
+    unique = len(set(disease_ids)) == len(disease_ids) and len({f.id for f in features}) == len(features)
     for f in features:
+        table = list(map(entries.get, product((f.id,), f.values, disease_ids)))
         if len(set(f.values)) != len(f.values):
             continue
-        for dis in disease_ids:
-            row = [entries.get((f.id, v, dis)) for v in f.values]
+        found += len(table) - table.count(None)
+        for i, dis in enumerate(disease_ids):
+            row = table[i :: len(disease_ids)]
             if None in row:
-                violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
+                rows.append(f"conditional row ({f.id}, {dis}): missing value entries")
+            elif abs((s := _fsum(row)) - 1.0) > PROB_SUM_TOL:
+                rows.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
+    violations: list[str] = []
+    if not (unique and found == len(entries) and all(0.0 <= p <= 1.0 for p in entries.values())):
+        valid_values = {f.id: set(f.values) for f in features}
+        known_diseases = set(disease_ids)
+        for (feat, value, dis), p in entries.items():
+            if feat not in valid_values:
+                violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
                 continue
-            s = _fsum(row)
-            if abs(s - 1.0) > PROB_SUM_TOL:
-                violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
-    return violations
+            if value not in valid_values[feat]:
+                violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
+            if dis not in known_diseases:
+                violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
+            if not 0.0 <= p <= 1.0:
+                violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
+    return violations + rows
 
 
-def _fsum(values) -> float:
+def _fsum(values: Sequence[float]) -> float:
     """``math.fsum``, except that inf + -inf reads as nan and a sum that
-    overflows as inf: neither lies within any tolerance of 1."""
+    overflows as an infinity of its sign: neither lies within any tolerance of 1."""
     try:
         return math.fsum(values)
     except ValueError:  # inf + -inf
         return math.nan
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # past the float range; an inf or nan summand still decides
+        special = [v for v in values if not -math.inf < v < math.inf]
+        return sum(special) if special else (math.inf if sum(map(Fraction, values)) >= 0 else -math.inf)
 
 
 def _check_observation(kb: KnowledgeBase, obs: Observation, seen: set[str]) -> None:
@@ -416,15 +422,19 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
 
     entries: dict[tuple[str, str, str], float] = {}
     for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
-        where = f"conditionals[{i}]"
-        entry = _object(entry, where)
-        feat = _field(entry, "feature", where, _string)
-        dis = _field(entry, "disease", where, _string)
-        for value, p in _field(entry, "probs", where, _object).items():
-            p = _number(p, f"{where}.probs['{value}']")
+        # Only a row that is not well formed builds its location, in the field reads.
+        if not (type(entry) is dict and type(feat := entry.get("feature")) is str
+                and type(dis := entry.get("disease")) is str and type(probs := entry.get("probs")) is dict):
+            where = f"conditionals[{i}]"
+            feat = _field(_object(entry, where), "feature", where, _string)
+            dis = _field(entry, "disease", where, _string)
+            probs = _field(entry, "probs", where, _object)
+        for value, p in probs.items():
+            if type(p) is not float or not math.isfinite(p):
+                p = _number(p, f"conditionals[{i}].probs['{value}']")
             key = (feat, value, dis)
             if key in entries:
-                raise FileFormatError(f"{where}: repeats entry {key!r}")
+                raise FileFormatError(f"conditionals[{i}]: repeats entry {key!r}")
             entries[key] = p
 
     return KnowledgeBase(

@@ -27,6 +27,7 @@ from uncertain_dx.errors import (
 )
 from uncertain_dx.evaluation import CaseWeight, _sign_flips
 from uncertain_dx.kb import (
+    PROB_SUM_TOL,
     BeliefDistribution,
     ConditionalTable,
     Disease,
@@ -34,6 +35,7 @@ from uncertain_dx.kb import (
     KnowledgeBase,
     Observation,
     _check_observation,
+    _fsum,
 )
 
 
@@ -419,3 +421,43 @@ def reference_naive_dempster_shafer(
     strengths = [_reference_evoking(kb, obs, row) for obs, row in zip(observations, rows)]
     raw = {d.id: _reference_barnett(es[i] for es in strengths) for i, d in enumerate(kb.diseases)}
     return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")
+
+
+# ---------------------------------------------------------------------------
+# Reference table check: ``kb._table_violations`` as it was before it read the
+# table one feature at a time.  It walks every entry, then every row, and is
+# the bit-for-bit reference for the violation list and its order.  Row sums go
+# through ``kb._fsum``, so the two differ only if the rows are read differently.
+
+
+def reference_table_violations(
+    features: Sequence[Feature],
+    disease_ids: Sequence[str],
+    entries: dict[tuple[str, str, str], float],
+) -> list[str]:
+    violations: list[str] = []
+    valid_values = {f.id: set(f.values) for f in features}
+    known_diseases = set(disease_ids)
+    for (feat, value, dis), p in entries.items():
+        if feat not in valid_values:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
+            continue
+        if value not in valid_values[feat]:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
+        if dis not in known_diseases:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
+        if not 0.0 <= p <= 1.0:
+            violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
+
+    for f in features:
+        if len(set(f.values)) != len(f.values):
+            continue
+        for dis in disease_ids:
+            row = [entries.get((f.id, v, dis)) for v in f.values]
+            if None in row:
+                violations.append(f"conditional row ({f.id}, {dis}): missing value entries")
+                continue
+            s = _fsum(row)
+            if abs(s - 1.0) > PROB_SUM_TOL:
+                violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
+    return violations

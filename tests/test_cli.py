@@ -48,7 +48,7 @@ class TestValidateCommand:
         assert out == "kb: OK\ncases: OK\nutilities: OK\n"
 
     def test_invalid_priors_exit_2(self, tmp_path, capsys):
-        doc = json.loads(open(KB).read())
+        doc = json.loads(Path(KB).read_text())
         doc["diseases"][0]["prior"] = 0.5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -56,7 +56,7 @@ class TestValidateCommand:
         assert "priors must sum to 1" in capsys.readouterr().out
 
     def test_line_break_in_a_violation_cannot_forge_an_ok_line(self, tmp_path, capsys):
-        doc = json.loads(open(KB).read())
+        doc = json.loads(Path(KB).read_text())
         doc["conditionals"].append({"feature": "zz\nkb: OK", "disease": "va", "probs": {"absent": 1.0}})
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -68,7 +68,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("line_break, escape", [("\x0b", "\\x0b"), ("\u2028", "\\u2028")])
     def test_any_line_break_in_a_violation_cannot_forge_an_ok_line(self, tmp_path, capsys, line_break, escape):
         """VT and U+2028 end a line for str.splitlines() just as LF does."""
-        doc = json.loads(open(KB).read())
+        doc = json.loads(Path(KB).read_text())
         doc["conditionals"].append({"feature": f"zz{line_break}kb: OK", "disease": "va", "probs": {"absent": 1.0}})
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -108,7 +108,7 @@ class TestValidateCommand:
     )
     def test_overflowing_sum_is_a_violation(self, tmp_path, capsys, target, edit, lines):
         """Two huge values overflow math.fsum; the sum reads as inf, not a traceback."""
-        doc = json.loads(open(target).read())
+        doc = json.loads(Path(target).read_text())
         edit(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -128,7 +128,7 @@ COVERAGE_VIOLATIONS = [
 
 @pytest.mark.parametrize("command", ["validate", "evaluate"])
 def test_utility_coverage_violations_exit_2(command, tmp_path, capsys):
-    doc = json.loads(open(KB).read())
+    doc = json.loads(Path(KB).read_text())
     classes = {"va": "hodgkin", "fl": "lymphoma"}
     for disease in doc["diseases"]:
         disease["class"] = classes.get(disease["id"], disease["class"])
@@ -190,7 +190,7 @@ def test_malformed_document_exits_2(name, tmp_path, capsys):
     above 1e6 micromorts, and ids that would break TSV are input errors at
     load time: one line on stderr, never a traceback or a false "OK"."""
     target, edit = MALFORMED[name]
-    doc = json.loads(open(target).read())
+    doc = json.loads(Path(target).read_text())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000))
@@ -236,7 +236,7 @@ def test_any_document_exits_0_2_or_3_with_well_formed_tsv(data):
     case_id, disease_id = data.draw(IDS), data.draw(IDS)
     docs = {}
     for path in (KB, CASES, UTILITIES):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         docs[path] = _renamed(_renamed(doc, "c5", case_id), "va", disease_id)
     if data.draw(st.booleans()):
         target = data.draw(st.sampled_from(sorted(docs)))
@@ -322,7 +322,7 @@ class TestInferCommand:
         assert out.splitlines()[1].startswith("hns\t")
 
     def test_line_break_in_a_case_violation_stays_on_one_line(self, tmp_path, capsys):
-        doc = json.loads(open(CASES).read())
+        doc = json.loads(Path(CASES).read_text())
         doc[0]["observations"].append({"feature": "q\ncases: OK", "value": "x"})
         bad = tmp_path / "cases.json"
         bad.write_text(json.dumps(doc))
@@ -406,7 +406,7 @@ class TestEvaluateCommand:
         assert "UNCERTAIN_DX_SEED" in capsys.readouterr().err
 
     def test_missing_gold_exits_2(self, tmp_path, capsys):
-        doc = json.loads(open(CASES).read())
+        doc = json.loads(Path(CASES).read_text())
         for case in doc:
             case.pop("gold_informed", None)
         cases = tmp_path / "cases.json"

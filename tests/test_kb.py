@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import fault_ids, knowledge_bases, with_fault
+from support import fault_ids, knowledge_bases, reference_table_violations, with_fault
 from uncertain_dx.errors import AllHypothesesRuledOut, FileFormatError, ValidationError
 from uncertain_dx.kb import (
     BeliefDistribution,
@@ -16,6 +18,7 @@ from uncertain_dx.kb import (
     Disease,
     Feature,
     KnowledgeBase,
+    _table_violations,
     cross_product_feature,
     load_cases,
     load_kb,
@@ -156,6 +159,15 @@ KB_FIELD_FAULTS = [
     (("conditionals", 0, "probs"), "mistyped", "conditionals[0].probs: expected an object"),
     (("conditionals", 0, "probs", "v1"), "mistyped", "conditionals[0].probs['v1']: expected a number, got True"),
 ]
+# Numbers written into the JSON text in place of p(v1 | d1) = 0.8.  A row whose
+# values are all finite floats is read without ``_number``; these go through it.
+PROBS_NUMBER_FAULTS = [
+    ("NaN", "conditionals[0].probs['v1']: expected a finite number, got nan"),
+    ("Infinity", "conditionals[0].probs['v1']: expected a finite number, got inf"),
+    ("1e400", "conditionals[0].probs['v1']: expected a finite number, got inf"),
+    ("-Infinity", "conditionals[0].probs['v1']: expected a finite number, got -inf"),
+    ("1" + "0" * 400, "conditionals[0].probs['v1']: number too large for a float"),
+]
 CASE_FILE = [
     {
         "id": "x1",
@@ -201,11 +213,75 @@ def test_kb_field_fault_message(path, fault, message):
     assert str(info.value) == message
 
 
+def kb_bytes_with_v1(literal: str) -> bytes:
+    text = json.dumps(MINIMAL_KB)
+    assert text.count('"v1": 0.8') == 1
+    return text.replace('"v1": 0.8', f'"v1": {literal}').encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "literal, message", PROBS_NUMBER_FAULTS, ids=["nan", "inf", "1e400", "-inf", "401-digits"]
+)
+def test_kb_probs_number_fault_message(literal, message):
+    with pytest.raises(FileFormatError) as info:
+        load_kb(kb_bytes_with_v1(literal))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("literal, total", [("1", "1.2"), ("-0.0", "0.2")], ids=["integer", "negative-zero"])
+def test_kb_probs_number_read_as_an_entry(literal, total):
+    """An integer and -0.0 are entries: only the row sum rejects them."""
+    with pytest.raises(ValidationError) as raised:
+        load_kb(kb_bytes_with_v1(literal))
+    assert raised.value.violations == [f"conditional row (f1, d1): sums to {total}, expected 1"]
+
+
+def test_kb_probs_integers_are_stored_as_floats():
+    doc = json.loads(json.dumps(MINIMAL_KB))
+    doc["conditionals"][0]["probs"] = {"v1": 1, "v2": 0}
+    entries = load_kb(kb_bytes(doc)).conditionals.entries
+    assert [type(entries[("f1", v, "d1")]) for v in ("v1", "v2")] == [float, float]
+    assert [entries[("f1", v, "d1")] for v in ("v1", "v2")] == [1.0, 0.0]
+
+
 @pytest.mark.parametrize("path, fault, message", CASE_FIELD_FAULTS, ids=fault_ids(CASE_FIELD_FAULTS))
 def test_case_field_fault_message(path, fault, message, fixture_kb):
     with pytest.raises(FileFormatError) as info:
         load_cases(kb_bytes(with_fault(CASE_FILE, path, fault)), fixture_kb)
     assert str(info.value) == message
+
+
+_TABLE_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -0.1, math.nan, math.inf, -math.inf, 1e308, -1e308])
+
+
+@st.composite
+def tables(draw):
+    """(features, disease ids, entries) for ``_table_violations``: rows that sum
+    to 1, then some entries deleted or changed and some added.  In about half
+    the tables feature, value and disease ids may repeat, and added entries
+    can name unknown ones."""
+    pick = st.sampled_from
+    ids = partial(st.lists, min_size=1, max_size=3, unique=not draw(st.booleans()))
+    features = tuple(
+        Feature(id=feature_id, name="", values=tuple(draw(ids(pick(["a", "b", "c"])))))
+        for feature_id in draw(ids(pick(["f0", "f1", "f2"])))
+    )
+    disease_ids = draw(ids(pick(["d0", "d1", "d2"])))
+    entries = {}
+    for f in features:
+        for dis in disease_ids:
+            weights = draw(st.lists(st.integers(1, 4), min_size=len(f.values), max_size=len(f.values)))
+            for value, w in zip(f.values, weights):
+                entries[(f.id, value, dis)] = w / sum(weights)
+    for key in draw(st.lists(pick(sorted(entries)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del entries[key]
+        else:
+            entries[key] = draw(_TABLE_VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        key = (draw(pick(["f0", "f1", "f3"])), draw(pick(["a", "b", "d"])), draw(pick(["d0", "d1", "d3"])))
+        entries[key] = draw(_TABLE_VALUES | st.floats(0.0, 1.0))
+    return features, disease_ids, entries
 
 
 class TestValidateKb:
@@ -301,6 +377,64 @@ class TestValidateKb:
         with pytest.raises(ValidationError) as raised:
             load_kb(kb_bytes(doc))
         assert raised.value.violations == violations
+
+    @pytest.mark.parametrize(
+        "priors, rows, violations",
+        [
+            (
+                [-1e308, -1e308, 0.5],
+                [[0.8, 0.2]] * 3,
+                [
+                    "disease 'd0': prior must be strictly positive",
+                    "disease 'd1': prior must be strictly positive",
+                    "disease priors must sum to 1 (got -inf)",
+                ],
+            ),
+            (
+                [0.5, 0.5],
+                [[-1e308, -1e308], [0.2, 0.8]],
+                [
+                    "conditional (f1, v1, d0): probability -1e+308 outside [0, 1]",
+                    "conditional (f1, v2, d0): probability -1e+308 outside [0, 1]",
+                    "conditional row (f1, d0): sums to -inf, expected 1",
+                ],
+            ),
+            # fsum overflows on the two 1e308 before it meets inf + -inf.
+            (
+                [1e308, 1e308, math.inf, -math.inf],
+                [[0.8, 0.2]] * 4,
+                [
+                    "disease 'd0': prior 1e+308 exceeds 1",
+                    "disease 'd1': prior 1e+308 exceeds 1",
+                    "disease 'd2': prior inf exceeds 1",
+                    "disease 'd3': prior must be strictly positive",
+                    "disease priors must sum to 1 (got nan)",
+                ],
+            ),
+            # An integer past the float range: fsum cannot convert it, the exact sum can.
+            (
+                [-(10**400), 0.5],
+                [[0.8, 0.2]] * 2,
+                [
+                    "disease 'd0': prior must be strictly positive",
+                    "disease priors must sum to 1 (got -inf)",
+                ],
+            ),
+        ],
+        ids=["negative-priors", "negative-row", "overflow-then-opposite-infinities", "huge-negative-integer"],
+    )
+    def test_overflowing_sum_keeps_its_sign(self, priors, rows, violations):
+        with pytest.raises(ValidationError) as raised:
+            build_kb(priors, rows)
+        assert raised.value.violations == violations
+
+    @settings(max_examples=500, deadline=None)
+    @given(tables())
+    def test_table_check_matches_the_entry_by_entry_reference(self, table):
+        features, disease_ids, entries = table
+        assert _table_violations(features, disease_ids, entries) == reference_table_violations(
+            features, disease_ids, entries
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(knowledge_bases())
