@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from collections import namedtuple
 from dataclasses import dataclass
@@ -234,11 +235,12 @@ def permutation_test(
 
     Whether a flipped statistic, the ``math.fsum`` of the flipped weighted
     differences, reaches the observed one is decided in exact integers
-    (``_flip_sum_tables``), with the same outcome as summing each flip.
+    (``_flip_sum_tables``), as summing each flip would.  All draws are
+    scored in one C-level pass per byte column, listing the sums after
+    each, so no chain of lazy maps (recursing in C) grows with n.
 
-    Deterministic for a given seed: the iteration RNG streams depend only
-    on (seed, iteration index), and inputs are canonicalized by sorting
-    on case id first, so pair order does not matter.
+    Deterministic for a seed: each iteration's RNG stream depends only on
+    (seed, iteration), and sorting by case id makes pair order irrelevant.
     """
     if not diffs:
         raise ValueError("empty sample")
@@ -252,11 +254,11 @@ def permutation_test(
     pairs = sorted(zip(diffs, weights), key=lambda dw: (dw[1].case_id, dw[0], dw[1].weight))
     weighted = [w.weight * d for d, w in pairs]
     tables, threshold = _flip_sum_tables(weighted, math.fsum(weighted))
-    width = len(tables)
-    hits = 0
-    for bits in _sign_flips(len(weighted), iterations, seed):
-        if sum(map(list.__getitem__, tables, bits.to_bytes(width, "little"))) >= threshold:
-            hits += 1
+    columns = _sign_flips(len(weighted), iterations, seed)
+    sums = map(tables[0].__getitem__, columns[0])
+    for table, column in zip(tables[1:], columns[1:]):
+        sums = list(map(operator.add, sums, map(table.__getitem__, column)))
+    hits = sum(map(threshold.__le__, sums))
     return (1 + hits) / (1 + iterations)
 
 
@@ -296,13 +298,16 @@ def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[l
 
 
 @functools.lru_cache(maxsize=1)
-def _sign_flips(n: int, iterations: int, seed: int) -> tuple[int, ...]:
-    """The n sign-flip bits of every iteration, one RNG stream per iteration.
-
-    They depend only on (n, iterations, seed), so all pairwise tests of one
-    evaluation share one draw.
+def _sign_flips(n: int, iterations: int, seed: int) -> tuple[bytes, ...]:
+    """ceil(n / 8) columns: byte i of column j is byte j, little-endian, of
+    iteration i's ``getrandbits(n)`` from its own RNG stream.  They depend only
+    on (n, iterations, seed), so all pair tests of one evaluation share a draw.
     """
-    return tuple(random.Random((seed << 32) + i).getrandbits(n) for i in range(iterations))
+    width = (n + 7) // 8
+    flips = bytearray()
+    for i in range(iterations):
+        flips += random.Random((seed << 32) + i).getrandbits(n).to_bytes(width, "little")
+    return tuple(bytes(flips[j::width]) for j in range(width))
 
 
 def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:

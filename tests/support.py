@@ -25,7 +25,7 @@ from uncertain_dx.errors import (
     UnknownDisease,
     ZeroMarginal,
 )
-from uncertain_dx.evaluation import CaseWeight, _sign_flips
+from uncertain_dx.evaluation import CaseWeight
 from uncertain_dx.kb import (
     PROB_SUM_TOL,
     BeliefDistribution,
@@ -241,7 +241,9 @@ def reference_permutation_test(
     diffs: Sequence[float], weights: Sequence[CaseWeight], iterations: int, seed: int
 ) -> float:
     """The sign-flip test as one ``math.fsum`` per iteration, the reference
-    for ``evaluation.permutation_test``'s exact-integer hit rule."""
+    for ``evaluation.permutation_test``'s exact-integer hit rule.  It draws
+    each iteration's bits itself, from the same RNG stream per (seed,
+    iteration), so it shares no code with the flip layout it checks."""
     if not diffs:
         raise ValueError("empty sample")
     if len(diffs) != len(weights):
@@ -254,7 +256,8 @@ def reference_permutation_test(
     observed = math.fsum(weighted)
 
     hits = 0
-    for bits in _sign_flips(len(weighted), iterations, seed):
+    for i in range(iterations):
+        bits = random.Random((seed << 32) + i).getrandbits(len(weighted))
         stat = math.fsum(v if bits >> k & 1 else -v for k, v in enumerate(weighted))
         if stat >= observed:
             hits += 1
