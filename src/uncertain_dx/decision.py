@@ -8,9 +8,11 @@ expected-disutility minimization; the chosen diagnosis is identical and
 reported numbers read as "decrease in utility", smallest is best.
 
 Utilities are assessed once per equivalence class (diseases sharing
-treatment and prognosis) and expanded to disease pairs on demand, which
-turns a quadratic number of assessments over diseases into a quadratic
-number over the far fewer classes.
+treatment and prognosis) and expanded to diseases on demand: a quadratic
+number of assessments over the few classes, not the many diseases.
+``meu_diagnosis`` prices each class once per decision, at O(C·D); an
+evaluation builds each class's column over the diseases once, and prices
+a distribution with C ``fsum``s of D products.
 
 Utility file format (UTF-8 JSON)::
 

@@ -26,7 +26,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from statistics import NormalDist
 from typing import Collection, Sequence
 
@@ -380,6 +380,48 @@ def expert_rating_summary(
 # The evaluation pipeline
 
 
+def _rating_pass(
+    kb: KnowledgeBase, utilities: UtilityMatrix, gold_source: str, inferred: Sequence, rules: dict[str, tuple]
+) -> tuple[list[float], dict[str, list[float]], dict[str, int]]:
+    """(gold ratings, each row's ratings, each row's agreement count) over the inferred cases.
+
+    A class's column U(class(d), c) over the KB's diseases d prices a distribution in one ``fsum``;
+    it adds 0.0 * u per disease the distribution omits, so only a zero's sign or a non-finite sum can
+    differ from ``expected_class_disutility``, which prices those and distributions outside the KB.
+    """
+    ids = [d.id for d in kb.diseases]
+    if not kb.disease_index.keys() <= utilities.expansion.keys():
+        meu_diagnosis(inferred[0][0].gold(gold_source), utilities, kb)  # raises as the first case would
+    # Each class's smallest disease id (written last) and its column over the KB's diseases.
+    firsts = {utilities.expansion[d]: d for d in sorted(ids, reverse=True)}
+    columns = {c: [utilities.class_disutility[(utilities.expansion[d], c)] for d in ids] for c in firsts}
+
+    def meu(p: BeliefDistribution) -> tuple[str, dict[str, float]]:
+        """(``meu_diagnosis(p, utilities, kb)``, each class's price under ``p``)."""
+        in_kb = p.beliefs.keys() <= kb.disease_index.keys()
+        vector = list(map(p.beliefs.get, ids, repeat(0.0))) if in_kb else [math.nan] * len(ids)
+        priced = {c: math.fsum(map(operator.mul, vector, column)) for c, column in columns.items()}
+        for c, price in priced.items():
+            if not 0.0 < price < math.inf:
+                priced[c] = expected_class_disutility(p, utilities, c)
+        best = min(filter(math.inf.__gt__, priced.values()), default=None)
+        if best is None:
+            meu_diagnosis(p, utilities, kb)  # raises its error: no class is priced below +inf
+        return min(d for c, d in firsts.items() if priced[c] == best), priced
+
+    gold_ratings: list[float] = []
+    ratings: dict[str, list[float]] = {row: [] for row in rules}
+    agreement = dict.fromkeys(rules, 0)
+    for case, dists in inferred:
+        dx_gold, gold_prices = meu(case.gold(gold_source))
+        gold_ratings.append(gold_prices[utilities.expansion[dx_gold]])
+        for row, (source, uses_meu) in rules.items():
+            dx = meu(dists[source])[0] if uses_meu else max_belief_diagnosis(dists[source])
+            ratings[row].append(gold_prices[utilities.expansion[dx]])
+            agreement[row] += dx == dx_gold
+    return gold_ratings, ratings, agreement
+
+
 def evaluate_methods(
     kb: KnowledgeBase,
     cases: Sequence[CaseRecord],
@@ -398,7 +440,9 @@ def evaluate_methods(
     picks each rated row's diagnosis (highest belief, or minimum expected
     disutility for ``simple_bayes_meu`` and for the other gold standard),
     prices it under the gold distribution, and compares it with the gold
-    diagnosis.  Aggregation is a deterministic reduce in that case order.
+    diagnosis, from one table of class columns (O(C·D) to build; C ``fsum``s
+    of D products per distribution priced, the gold's once per case).
+    Aggregation is a deterministic reduce in that case order.
     """
     if gold_source not in GOLD_SOURCES:
         names = " or ".join(f"'{source}'" for source in GOLD_SOURCES)
@@ -439,17 +483,7 @@ def evaluate_methods(
     rules = {m: METHODS[m][1:] for m in ordered_methods}
     if all(dists[other_source] is not None for _, dists in inferred):
         rules[other_source] = (other_source, True)
-    gold_ratings: list[float] = []
-    ratings: dict[str, list[float]] = {row: [] for row in rules}
-    agreement = dict.fromkeys(rules, 0)
-    for case, dists in inferred:
-        p_gold = case.gold(gold_source)
-        dx_gold = meu_diagnosis(p_gold, utilities, kb)
-        gold_ratings.append(expected_disutility(p_gold, utilities, dx_gold, kb))
-        for row, (source, uses_meu) in rules.items():
-            dx = meu_diagnosis(dists[source], utilities, kb) if uses_meu else max_belief_diagnosis(dists[source])
-            ratings[row].append(expected_disutility(p_gold, utilities, dx, kb))
-            agreement[row] += dx == dx_gold
+    gold_ratings, ratings, agreement = _rating_pass(kb, utilities, gold_source, inferred, rules)
     diffs = {row: [r - g for r, g in zip(rated, gold_ratings)] for row, rated in ratings.items()}
 
     def means(row: str) -> tuple[float, float, float]:

@@ -163,7 +163,7 @@ class BeliefDistribution:
         if total <= 0.0:
             raise AllHypothesesRuledOut("all hypotheses have zero belief")
         return cls(
-            beliefs={d: v / total for d, v in raw.items()},
+            beliefs={d: v / total + 0.0 for d, v in raw.items()},  # -0.0 + 0.0 is 0.0; others keep bits
             pre_norm_sum=total,
             method=method,
         )

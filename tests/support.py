@@ -16,6 +16,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
+from uncertain_dx.decision import max_belief_diagnosis, meu_diagnosis
 from uncertain_dx.engine import _PRIOR_ONE_TOL
 from uncertain_dx.errors import (
     AllHypothesesRuledOut,
@@ -25,7 +26,7 @@ from uncertain_dx.errors import (
     UnknownDisease,
     ZeroMarginal,
 )
-from uncertain_dx.evaluation import CaseWeight
+from uncertain_dx.evaluation import CaseWeight, expected_disutility
 from uncertain_dx.kb import (
     PROB_SUM_TOL,
     BeliefDistribution,
@@ -262,6 +263,25 @@ def reference_permutation_test(
         if stat >= observed:
             hits += 1
     return (1 + hits) / (1 + iterations)
+
+
+def reference_rating_pass(kb: KnowledgeBase, utilities, gold_source: str, inferred, rules):
+    """The rating pass as one ``meu_diagnosis`` per MEU decision and one
+    ``expected_disutility`` per rating, the reference for
+    ``evaluation._rating_pass``'s pricing table, bit for bit and error for
+    error: (gold ratings, each row's ratings, each row's agreement count)."""
+    gold_ratings = []
+    ratings = {row: [] for row in rules}
+    agreement = dict.fromkeys(rules, 0)
+    for case, dists in inferred:
+        p_gold = case.gold(gold_source)
+        dx_gold = meu_diagnosis(p_gold, utilities, kb)
+        gold_ratings.append(expected_disutility(p_gold, utilities, dx_gold, kb))
+        for row, (source, uses_meu) in rules.items():
+            dx = meu_diagnosis(dists[source], utilities, kb) if uses_meu else max_belief_diagnosis(dists[source])
+            ratings[row].append(expected_disutility(p_gold, utilities, dx, kb))
+            agreement[row] += dx == dx_gold
+    return gold_ratings, ratings, agreement
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,25 @@ class TestProbeCommand:
     def test_malformed_likelihoods_exit_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8;0.2", "--n-max", "2"]) == 2
 
+    def test_no_negative_zero_printed(self, tmp_path, capsys):
+        """A hypothesis no observation evokes prints belief 0, not -0, in the
+        probe's TSV and in ``infer``'s TSV and JSON."""
+        assert main(["probe", "--likelihoods", "1,0", "--n-max", "2"]) == 0
+        probe = capsys.readouterr().out
+        assert "naive_dempster_shafer\th2\t0.000000" in probe
+        from uncertain_dx.kb import serialize_kb
+        from uncertain_dx.synth import ReplicatedEvidenceSpec, replicate_evidence_kb
+
+        kb, _ = replicate_evidence_kb(ReplicatedEvidenceSpec.uniform((1.0, 0.0), n=2))
+        path = tmp_path / "kb.json"
+        path.write_bytes(serialize_kb(kb))
+        outputs = [probe]
+        for fmt in ("tsv", "json"):
+            assert main(["infer", "--kb", str(path), "--format", fmt, "e1=present", "e2=present"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.loads(outputs[-1])[2]["beliefs"]["h2"] == 0.0
+        assert all("-0" not in out for out in outputs)
+
     def test_out_file_gets_trailing_newline(self, tmp_path):
         out = tmp_path / "probe.tsv"
         assert main(["probe", "--likelihoods", "0.8,0.6,0.2", "--n-max", "2", "--out", str(out)]) == 0

@@ -256,6 +256,15 @@ class TestNaiveDempsterShafer:
         # Unnormalized beliefs agree exactly; only the shared normalizer moves.
         assert full.belief("h3") * full.pre_norm_sum == short.belief("h3") * short.pre_norm_sum
 
+    @pytest.mark.parametrize("likelihoods", [(1.0, 0.0), (0.8, 0.6, 0.0), (0.8, 0.0, 0.0)])
+    def test_no_belief_is_negative_zero(self, likelihoods):
+        """A disease evoked with strength zero by every observation combines to
+        1 - exp(0.0) = -0.0; its belief is 0.0, in every calculus."""
+        kb, observations = replicate_evidence_kb(ReplicatedEvidenceSpec.uniform(likelihoods, n=2))
+        for calculus in (simple_bayes, odds_likelihood, naive_dempster_shafer):
+            beliefs = calculus(kb, observations).beliefs.values()
+            assert all(math.copysign(1.0, b) == 1.0 for b in beliefs)
+
     def test_zero_marginal_propagates(self):
         kb = two_disease_kb([0.5, 0.5], [0.0, 0.0])
         with pytest.raises(ZeroMarginal):

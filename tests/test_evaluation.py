@@ -11,17 +11,19 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import reference_permutation_test
+from support import random_kb, reference_permutation_test, reference_rating_pass
 
 from uncertain_dx import evaluation
-from uncertain_dx.decision import UtilityMatrix, max_belief_diagnosis, meu_diagnosis
+from uncertain_dx.decision import UtilityMatrix, expected_class_disutility, max_belief_diagnosis, meu_diagnosis
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
+    InferenceError,
     MissingGoldStandard,
     UncertainDxError,
     MissingRatings,
     MissingTrueDiagnosis,
     UnknownObservation,
+    UnmappedDisease,
     ValidationError,
 )
 from uncertain_dx.evaluation import (
@@ -35,6 +37,8 @@ from uncertain_dx.evaluation import (
     wilcoxon_rank_test,
 )
 from uncertain_dx.kb import (
+    CALCULI,
+    GOLD_SOURCES,
     BeliefDistribution,
     CaseRecord,
     ConditionalTable,
@@ -670,3 +674,182 @@ class TestEvaluateMethods:
         report = self.run(fixture_kb, fixture_cases, fixture_utilities, iterations=1000)
         assert sum(r.test == "monte_carlo_permutation" for r in report.significance) == 6
         assert constructed == 1000
+
+
+def random_rating_pass_inputs(rng: random.Random):
+    """A random (KB, utilities, gold source, inferred cases, rules) draw for the rating pass.
+
+    Classes are coarser than diseases, and a model may have just one.
+    Micromorts mix 0.0, -0.0 and denormal entries with uniform ones, two
+    classes may share one diagnosed column, so their prices tie, and one
+    entry may turn inf or NaN after validation.  Gold distributions omit
+    diseases, put their mass on one disease, carry -0.0 beliefs, or name a
+    disease outside the KB.
+    """
+    base = random_kb(rng, rng.randint(1, 7), 1, max_values=2)
+    classes = [f"k{i}" for i in range(rng.randint(1, min(4, len(base.diseases))))]
+    expansion = {d.id: rng.choice(classes) for d in base.diseases}
+    kb = KnowledgeBase(
+        diseases=tuple(dataclasses.replace(d, equivalence_class=expansion[d.id]) for d in base.diseases),
+        features=base.features,
+        conditionals=base.conditionals,
+    )
+    palette = (0.0, -0.0, 5e-324, 1.0, 1e6)
+    table = {
+        (i, j): rng.choice(palette) if rng.random() < 0.5 else rng.uniform(0.0, 1e6)
+        for i in classes
+        for j in classes
+    }
+    if len(classes) > 1 and rng.random() < 0.5:
+        source, tied = rng.sample(classes, 2)
+        for i in classes:
+            table[(i, tied)] = table[(i, source)]
+    outside = rng.random() < 0.1
+    if outside:
+        expansion["zz"] = rng.choice(classes)
+    utilities = UtilityMatrix(classes=tuple(classes), class_disutility=table, expansion=expansion)
+    if rng.random() < 0.2:
+        # Changed after validation, as a caller holding the table can.
+        table[rng.choice(list(table))] = rng.choice((math.inf, math.nan))
+    ids = [d.id for d in kb.diseases]
+
+    def distribution(method: str, over: list[str]) -> BeliefDistribution:
+        if rng.random() < 0.2:  # a point mass, the other diseases at 0.0 or left out
+            top = rng.choice(over)
+            raw = {d: float(d == top) for d in over} if rng.random() < 0.5 else {top: 1.0}
+        else:
+            raw = {d: 0.0 if rng.random() < 0.3 else rng.random() for d in over}
+            raw[rng.choice(over)] = rng.random() + 1e-3
+        p = BeliefDistribution.from_unnormalized(raw, method=method)
+        if method == "external" and rng.random() < 0.5:
+            p = dataclasses.replace(p, beliefs={d: b or -0.0 for d, b in p.beliefs.items()})
+        return p
+
+    def gold() -> BeliefDistribution:
+        over = rng.sample(ids, rng.randint(1, len(ids)))
+        return distribution("external", over + ["zz"] if outside and rng.random() < 0.5 else over)
+
+    gold_source, other_source = rng.sample(GOLD_SOURCES, 2)
+    inferred = []
+    for i in range(rng.randint(1, 5)):
+        golds = {gold_source: gold(), other_source: gold() if rng.random() < 0.8 else None}
+        case = CaseRecord(
+            id=f"c{i}",
+            observations=(),
+            true_diagnosis=rng.choice(ids),
+            **{f"gold_{source}": p for source, p in golds.items()},
+        )
+        dists = {calculus: distribution(calculus, ids) for calculus in CALCULI}
+        inferred.append((case, {other_source: golds[other_source], **dists}))
+    return kb, utilities, gold_source, inferred, rating_rules(inferred, other_source)
+
+
+def rating_rules(inferred, other_source: str) -> dict[str, tuple[str, bool]]:
+    """Each rated row's (source, whether it diagnoses by MEU), as ``evaluate_methods`` sets them
+    for every method: the other gold is a row when every case has it."""
+    rules = {m: evaluation.METHODS[m][1:] for m in evaluation.METHODS}
+    if all(dists[other_source] is not None for _, dists in inferred):
+        rules[other_source] = (other_source, True)
+    return rules
+
+
+def rating_outcome(rate, *args):
+    """A rating pass's result with every float as ``float.hex``, or the type and message it raised."""
+    try:
+        gold_ratings, ratings, agreement = rate(*args)
+    except Exception as exc:  # any error is an outcome to compare
+        return type(exc), str(exc)
+    return [r.hex() for r in gold_ratings], {row: [r.hex() for r in rated] for row, rated in ratings.items()}, agreement
+
+
+def inference_pass(kb, cases, gold_source):
+    """(inferred cases, rules) as ``evaluate_methods`` builds them for every method."""
+    other_source = next(source for source in GOLD_SOURCES if source != gold_source)
+    inferred = []
+    for case in sorted(cases, key=lambda c: c.id):
+        try:
+            dists = {calculus: evaluation._INFERENCE[calculus](kb, case.observations) for calculus in CALCULI}
+        except InferenceError:
+            continue
+        inferred.append((case, {other_source: case.gold(other_source), **dists}))
+    return inferred, rating_rules(inferred, other_source)
+
+
+class TestRatingPass:
+    """The rating pass prices from a per-evaluation table; the reference makes
+    one MEU decision and one pricing call per row, as the rules define them."""
+
+    def test_matches_the_per_decision_reference_bit_for_bit(self):
+        rng = random.Random(16)
+        draws = [random_rating_pass_inputs(rng) for _ in range(400)]
+        outcomes = [rating_outcome(reference_rating_pass, *args) for args in draws]
+        for args, expected in zip(draws, outcomes):
+            assert rating_outcome(evaluation._rating_pass, *args) == expected
+        # The draws reach every edge the table must price as the reference does.
+        ties = zero_prices = single_class = outside = 0
+        for kb, utilities, gold_source, inferred, rules in draws:
+            single_class += len(utilities.classes) == 1
+            outside += "zz" in utilities.expansion
+            for case, _ in inferred:
+                p = case.gold(gold_source)
+                prices = [expected_class_disutility(p, utilities, c) for c in set(utilities.expansion.values())]
+                zero_prices += 0.0 in prices
+                ties += len(set(prices)) < len(prices)
+        non_finite = sum(not all(map(math.isfinite, u.class_disutility.values())) for _, u, *_ in draws)
+        raised = sum(isinstance(outcome[0], type) for outcome in outcomes)
+        assert min(ties, zero_prices, single_class, outside, non_finite, raised) > 10
+
+    def test_reference_agrees_on_the_fixture(self, fixture_kb, fixture_cases, fixture_utilities):
+        for gold_source in GOLD_SOURCES:
+            inferred, rules = inference_pass(fixture_kb, fixture_cases, gold_source)
+            args = (fixture_kb, fixture_utilities, gold_source, inferred, rules)
+            assert rating_outcome(evaluation._rating_pass, *args) == rating_outcome(reference_rating_pass, *args)
+
+    @pytest.mark.parametrize("unmapped", [("csd",), ("va",), ("fl", "va"), ("hmc", "va"), ("hns", "sh")])
+    @pytest.mark.parametrize("gold_source", GOLD_SOURCES)
+    def test_unmapped_disease_raises_as_the_reference(
+        self, unmapped, gold_source, fixture_kb, fixture_cases, fixture_utilities
+    ):
+        """A utility model missing KB diseases: ``evaluate_methods`` raises the
+        UnmappedDisease the per-decision pass raises, message and all.  That
+        names the smallest id if it is unmapped, else the first unmapped
+        disease in the first gold's order, not the smallest unmapped id."""
+        utilities = dataclasses.replace(
+            fixture_utilities,
+            expansion={d: c for d, c in fixture_utilities.expansion.items() if d not in unmapped},
+        )
+        inferred, rules = inference_pass(fixture_kb, fixture_cases, gold_source)
+        expected = rating_outcome(reference_rating_pass, fixture_kb, utilities, gold_source, inferred, rules)
+        assert expected[0] is UnmappedDisease
+        with pytest.raises(UnmappedDisease) as raised:
+            evaluate_methods(fixture_kb, fixture_cases, utilities, list(evaluation.METHODS), gold_source, iterations=1000)
+        assert str(raised.value) == expected[1]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("entries", ["all", "one_diagnosed_column", "one_true_row", "one"])
+    def test_non_finite_table_after_construction_as_the_reference(
+        self, value, entries, fixture_kb, fixture_cases, fixture_utilities
+    ):
+        """Table entries set to NaN or inf after validation: with every entry
+        changed, ``evaluate_methods`` raises the ValueError naming the classes
+        that the per-decision pass raises; with some changed, the pass rates
+        as the reference does."""
+        utilities = dataclasses.replace(fixture_utilities, class_disutility=dict(fixture_utilities.class_disutility))
+        classes = sorted(utilities.classes)
+        for true, diagnosed in list(utilities.class_disutility):
+            if (
+                entries == "all"
+                or (entries == "one_diagnosed_column" and diagnosed == classes[0])
+                or (entries == "one_true_row" and true == classes[-1])
+                or (entries == "one" and (true, diagnosed) == (classes[0], classes[-1]))
+            ):
+                utilities.class_disutility[(true, diagnosed)] = value
+        inferred, rules = inference_pass(fixture_kb, fixture_cases, "informed")
+        args = (fixture_kb, utilities, "informed", inferred, rules)
+        expected = rating_outcome(reference_rating_pass, *args)
+        assert rating_outcome(evaluation._rating_pass, *args) == expected
+        if entries == "all":
+            assert expected[0] is ValueError and "no finite expected disutility among the classes: {" in expected[1]
+            with pytest.raises(ValueError) as raised:
+                evaluate_methods(fixture_kb, fixture_cases, utilities, list(evaluation.METHODS), "informed", iterations=1000)
+            assert str(raised.value) == expected[1]

@@ -453,6 +453,18 @@ class TestBeliefDistribution:
         assert dist.pre_norm_sum == 1.5
         assert dist.beliefs == {"a": 0.5, "b": 0.5}
 
+    @given(st.lists(st.floats(0.0, 1.0) | st.just(-0.0), min_size=1, max_size=6))
+    def test_negative_zero_entries_normalize_to_zero_and_nothing_else_moves(self, raw):
+        """A -0.0 entry becomes 0.0; every other belief is ``v / total`` bit for bit."""
+        raw = dict(enumerate(raw))
+        total = math.fsum(raw.values())
+        if total <= 0.0:
+            return
+        beliefs = BeliefDistribution.from_unnormalized(raw, method="external").beliefs
+        for d, v in raw.items():
+            assert math.copysign(1.0, beliefs[d]) == 1.0
+            assert beliefs[d] == v / total and (v == 0.0 or beliefs[d].hex() == (v / total).hex())
+
     def test_all_zero_mass_is_an_error(self):
         with pytest.raises(AllHypothesesRuledOut):
             BeliefDistribution.from_unnormalized({"a": 0.0, "b": 0.0}, method="external")
