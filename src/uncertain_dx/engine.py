@@ -18,11 +18,14 @@ observations cannot underflow; conversion back to probabilities happens
 once, at normalization.  A calculus's term for one finding depends only
 on the knowledge base, so it is compiled once per (knowledge base,
 calculus, finding) from the p(obs | d) row, which the calculi share, and
-memoized on the knowledge base.  A case then checks its observations,
-looks up their terms and fsums each disease's column: O(D*O) for D
-diseases and O observations, with no table reads once its findings are
-compiled.  Results are the same as from recomputing every term.  All
-functions are safe to call concurrently on shared knowledge bases.
+memoized on the knowledge base under the observation, as are the prior
+terms.  A call is then a few C-level passes: one memo lookup per
+observation, one set of their features, one fsum per disease column and
+one normalization; only findings not yet compiled are checked in Python.
+That is O(D*O) for D diseases and O observations, with no table reads once
+its findings are compiled.  Results and errors are the same as from
+checking every observation and recomputing every term.  All functions are
+safe to call concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -32,6 +35,8 @@ ZeroMarginal, EmptyEvidence, UnknownDisease and DegeneratePrior.
 from __future__ import annotations
 
 import math
+from itertools import compress, repeat
+from operator import attrgetter, is_, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -46,35 +51,52 @@ from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
 
+_FEATURE = attrgetter("feature")
+
+
+def _check_all(kb: KnowledgeBase, observations: Sequence[Observation]) -> None:
+    """Check every observation in order; the first that fails raises."""
+    seen: set[str] = set()
+    for obs in observations:
+        _check_observation(kb, obs, seen)
+
 
 def _row(kb: KnowledgeBase, obs: Observation) -> tuple:
     """The p(obs | d) row, one entry per disease, that the calculi compile their
     terms from: read on first use, after checking ``obs``, and memoized."""
-    key = ("row", obs.feature, obs.value)
-    row = kb.compiled_terms.get(key)
+    rows = kb.compiled_terms["row"]
+    row = rows.get(obs)
     if row is None:
         _check_observation(kb, obs, set())
         entries = kb.conditionals.entries
-        row = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
-        kb.compiled_terms[key] = row
+        row = rows[obs] = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
     return row
 
 
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
     """Check the observations, then return each one's ``calculus`` terms, one
     per disease, computed on first use from its row and memoized on the
-    knowledge base.  A compile error memoizes only the row."""
-    seen: set[str] = set()
-    for obs in observations:
-        _check_observation(kb, obs, seen)
-    memo = kb.compiled_terms
-    found = []
-    for obs in observations:
-        key = (calculus, obs.feature, obs.value)
-        terms = memo.get(key)
-        if terms is None:
-            terms = memo[key] = _COMPILE[calculus](kb, obs, _row(kb, obs))
-        found.append(terms)
+    knowledge base.  A memoized finding was checked when compiled, so only the
+    misses are checked one by one, and a repeated feature by one set; if any
+    check fails, every observation is checked in order, as the first failure
+    must be raised.  A compile error memoizes only the row."""
+    memo = kb.compiled_terms[calculus]
+    try:
+        found = list(map(memo.get, observations))
+        repeated = len(set(map(_FEATURE, observations))) < len(found)
+    except (TypeError, AttributeError):  # not an observation, or an unhashable field
+        _check_all(kb, observations)
+        raise
+    misses = list(compress(range(len(found)), map(is_, found, repeat(None))))
+    index = kb.feature_index
+    if repeated or not all(
+        (feature := index.get(observations[i].feature)) is not None and observations[i].value in feature.values
+        for i in misses
+    ):
+        _check_all(kb, observations)
+    for i in misses:
+        obs = observations[i]
+        found[i] = memo[obs] = _COMPILE[calculus](kb, obs, _row(kb, obs))
     return found
 
 
@@ -136,11 +158,6 @@ def _naive_dempster_shafer_terms(kb: KnowledgeBase, obs: Observation, row: Seque
     return _log_complements(_evoking(kb, obs, row))
 
 
-def _combined(terms: Sequence[float]) -> float:
-    """1 - prod(1 - m) from the masses' log complements."""
-    return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
-
-
 def _prior_log_odds(prior: float) -> float:
     if prior >= 1.0 - _PRIOR_ONE_TOL:
         return math.inf  # an exhaustive single hypothesis has infinite prior odds
@@ -151,6 +168,24 @@ def _prior_log_odds(prior: float) -> float:
 _COMPILE: dict[str, Callable] = {name: globals()[f"_{name}_terms"] for name in CALCULI}
 
 
+def _priors(kb: KnowledgeBase, calculus: str, term: Callable[[float], float]) -> tuple:
+    """``term`` of each disease's prior, computed on first use and memoized."""
+    memo = kb.compiled_terms["prior"]
+    if calculus not in memo:
+        memo[calculus] = tuple([term(d.prior) for d in kb.diseases])
+    return memo[calculus]
+
+
+def _column_sums(*terms: Sequence[float]) -> list[float]:
+    """Each disease's fsum of its column across ``terms``: order-exact, so
+    permuting the observations cannot move a bit.  A column holding both
+    infinities, which fsum rejects, sums to -inf: ruling out comes first."""
+    try:
+        return list(map(math.fsum, zip(*terms)))
+    except ValueError:  # inf + -inf
+        return [-math.inf if -math.inf in column else math.fsum(column) for column in zip(*terms)]
+
+
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Posterior over diseases assuming evidence independent given disease.
 
@@ -159,19 +194,15 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
     the priors.  The result is a genuine probability distribution, so
     pre_norm_sum is 1 by construction.
     """
-    priors = [_log(d.prior) for d in kb.diseases]
-    columns = zip(priors, *_compiled(kb, "simple_bayes", observations))
-    # fsum is order-exact, so permuting the observations cannot move the
-    # result even in the last bit.
-    log_mass = {d.id: math.fsum(column) for d, column in zip(kb.diseases, columns)}
-
-    peak = max(log_mass.values())
+    terms = _compiled(kb, "simple_bayes", observations)
+    log_mass = _column_sums(_priors(kb, "simple_bayes", _log), *terms)
+    peak = max(log_mass)
     if peak == -math.inf:
         raise AllHypothesesRuledOut("every disease has zero posterior mass")
-    unnorm = {d: math.exp(lm - peak) for d, lm in log_mass.items()}
-    z = math.fsum(unnorm.values())
+    unnorm = list(map(math.exp, map(sub, log_mass, repeat(peak))))
+    z = math.fsum(unnorm)
     return BeliefDistribution(
-        beliefs={d: u / z for d, u in unnorm.items()},
+        beliefs=dict(zip(kb.disease_index, map(truediv, unnorm, repeat(z)))),
         pre_norm_sum=1.0,
         method="simple_bayes",
     )
@@ -212,25 +243,17 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     1; if several diseases are infinite together they share the
     renormalized mass equally and every finite disease gets 0.
     """
-    priors = [_prior_log_odds(d.prior) for d in kb.diseases]
-    columns = zip(priors, *_compiled(kb, "odds_likelihood", observations))
-    pre_norm: dict[str, float] = {}
-    infinite: list[str] = []
-    for d, column in zip(kb.diseases, columns):
-        if -math.inf in column:
-            pre_norm[d.id] = 0.0
-        elif math.inf in column:
-            pre_norm[d.id] = 1.0
-            infinite.append(d.id)
-        else:
-            pre_norm[d.id] = _sigmoid(math.fsum(column))
-
-    pre_norm_sum = math.fsum(pre_norm.values())
-    if infinite:
-        share = 1.0 / len(infinite)
-        beliefs = {d: (share if d in infinite else 0.0) for d in pre_norm}
+    terms = _compiled(kb, "odds_likelihood", observations)
+    log_odds = _column_sums(_priors(kb, "odds_likelihood", _prior_log_odds), *terms)
+    # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
+    pre_norm = list(map(_sigmoid, log_odds))
+    pre_norm_sum = math.fsum(pre_norm)
+    ruled_in = log_odds.count(math.inf)
+    if ruled_in:
+        share = 1.0 / ruled_in
+        beliefs = {d: (share if lo == math.inf else 0.0) for d, lo in zip(kb.disease_index, log_odds)}
     elif pre_norm_sum > 0.0:
-        beliefs = {d: p / pre_norm_sum for d, p in pre_norm.items()}
+        beliefs = dict(zip(kb.disease_index, map(truediv, pre_norm, repeat(pre_norm_sum))))
     else:
         raise AllHypothesesRuledOut("every disease has zero posterior odds")
     return BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="odds_likelihood")
@@ -263,7 +286,8 @@ def barnett_combine(masses: Iterable[float]) -> float:
     full precision; a mass of 1 is absorbing exactly, and a mass of 0
     leaves the combination exactly unchanged.
     """
-    return _combined(_log_complements(masses))
+    terms = _log_complements(masses)
+    return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
 
 
 def naive_dempster_shafer(
@@ -278,6 +302,7 @@ def naive_dempster_shafer(
     """
     if not observations:
         raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
-    columns = zip(*_compiled(kb, "naive_dempster_shafer", observations))
-    raw = {d.id: _combined(column) for d, column in zip(kb.diseases, columns)}
+    # 1 - prod(1 - m) per disease from the log complements; -expm1(-inf) is exactly 1.
+    log_rest = _column_sums(*_compiled(kb, "naive_dempster_shafer", observations))
+    raw = dict(zip(kb.disease_index, map(neg, map(math.expm1, log_rest))))
     return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")

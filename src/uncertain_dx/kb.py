@@ -9,10 +9,12 @@ violation raises ``ValidationError``.  Case records pair observation sets
 with optional gold standards, one per ``GOLD_SOURCES`` name, and ratings.
 
 Everything in this module is immutable after load and safe to share
-across threads.  ``KnowledgeBase.compiled_terms``, the engine's memo, is
+across threads.  ``KnowledgeBase.compiled_terms``, the engine's memos, is
 a cache whose entries do not depend on the order they are filled in, so
-sharing stays safe.  Changing ``conditionals.entries`` after the first
-inference is unsupported; build a new one with ``dataclasses.replace``.
+sharing stays safe.  An ``Observation`` is a named tuple, equal to its
+``(feature, value)`` tuple, and keys those memos itself.  Changing
+``conditionals.entries`` after the first inference is unsupported; build
+a new one with ``dataclasses.replace``.
 
 File formats (UTF-8 JSON):
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
@@ -109,17 +111,19 @@ class KnowledgeBase:
         return {f.id: f for f in self.features}
 
     @cached_property
-    def compiled_terms(self) -> dict[tuple[str, ...], object]:
-        """The engine's per-finding terms, keyed by (calculus or "row", feature, value)."""
-        return {}
+    def compiled_terms(self) -> dict[str, dict]:
+        """The engine's memos, held apart: "row" and each calculus in ``CALCULI``
+        map an observation to its p(obs | d) row or its terms, one per disease,
+        and "prior" maps a calculus to its prior terms."""
+        return {key: {} for key in ("row", "prior", *CALCULI)}
 
     def prior(self, disease_id: str) -> float:
         return self.disease_index[disease_id].prior
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (feature, value) pair; a case observes at most one value per feature."""
+class Observation(NamedTuple):
+    """One (feature, value) pair; a case observes at most one value per feature.
+    Equal to its ``(feature, value)`` tuple, and hashed as it, to key memos."""
 
     feature: str
     value: str
@@ -475,7 +479,8 @@ def _load_gold(raw, where: str, kb: KnowledgeBase, violations: list[str]) -> Bel
         if dis not in kb.disease_index:
             violations.append(f"{where}: unknown disease '{dis}'")
             return None
-        value = _number(p, f"{where}['{dis}']")
+        # Only a value that is not a finite float builds its location, in _number.
+        value = p if type(p) is float and math.isfinite(p) else _number(p, f"{where}['{dis}']")
         if value < 0.0:
             violations.append(f"{where}: negative probability for '{dis}'")
             return None
@@ -531,7 +536,11 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
 
         ratings = _optional(entry, "expert_ratings", where, _object)
         if ratings is not None:
-            ratings = {m: _number(r, f"{where}.expert_ratings['{m}']") for m, r in ratings.items()}
+            # A whole rating in [0, 10] converts exactly; any other value goes through _number.
+            ratings = {
+                m: float(r) if type(r) is int and 0 <= r <= 10 else _number(r, f"{where}.expert_ratings['{m}']")
+                for m, r in ratings.items()
+            }
             violations.extend(
                 f"{where}: rating for '{m}' outside [0, 10]" for m, r in ratings.items() if not 0.0 <= r <= 10.0
             )

@@ -440,6 +440,14 @@ class TestProbeCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 450
 
+    def test_golden_probe_byte_for_byte(self, capsys, data_dir):
+        """Every belief of every calculus at every step of a 100-token, five-hypothesis
+        trajectory, printed to six decimals, as the golden file holds it."""
+        assert main(["probe", "--likelihoods", "0.8,0.6,0.5,0.3,0.2", "--n-max", "100"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.encode() == (data_dir / "golden_probe.tsv").read_bytes()
+
     def test_uniform_likelihoods_leave_priors(self, capsys):
         assert main(["probe", "--likelihoods", "0.5,0.5", "--n-max", "3"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]

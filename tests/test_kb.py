@@ -18,6 +18,7 @@ from uncertain_dx.kb import (
     Disease,
     Feature,
     KnowledgeBase,
+    Observation,
     _table_violations,
     cross_product_feature,
     load_cases,
@@ -445,6 +446,28 @@ class TestValidateKb:
         assert [d.id for d in loaded.diseases] == [d.id for d in kb.diseases]
         assert loaded.diseases == kb.diseases
         assert loaded.conditionals.entries == dict(kb.conditionals.entries)
+
+
+class TestObservation:
+    def test_keyword_and_positional_construction_agree(self):
+        obs = Observation(feature="f", value="v")
+        assert obs == Observation("f", "v")
+        assert (obs.feature, obs.value) == ("f", "v")
+        assert repr(obs) == "Observation(feature='f', value='v')"
+
+    def test_immutable(self):
+        obs = Observation("f", "v")
+        with pytest.raises(AttributeError):
+            obs.value = "w"
+        assert obs == Observation("f", "v")
+
+    def test_equal_and_hashed_as_its_tuple(self):
+        """The engine keys its memos on observations, so an observation and its
+        (feature, value) tuple must be one key."""
+        obs = Observation("f", "v")
+        assert obs == ("f", "v") and hash(obs) == hash(("f", "v"))
+        assert {("f", "v"): 1}[obs] == 1
+        assert obs != ("f", "w") and obs != Observation("g", "v")
 
 
 class TestBeliefDistribution:
