@@ -46,7 +46,7 @@ from .errors import (
     UnknownDisease,
     ZeroMarginal,
 )
-from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation
+from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation, _vectors
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
@@ -63,13 +63,17 @@ def _check_all(kb: KnowledgeBase, observations: Sequence[Observation]) -> None:
 
 def _row(kb: KnowledgeBase, obs: Observation) -> tuple:
     """The p(obs | d) row, one entry per disease, that the calculi compile their
-    terms from: read on first use, after checking ``obs``, and memoized."""
+    terms from: read on first use, after checking ``obs``, and memoized.  A
+    loaded table gives its vector for ``obs``; a code-built one, D entries."""
     rows = kb.compiled_terms["row"]
     row = rows.get(obs)
     if row is None:
         _check_observation(kb, obs, set())
-        entries = kb.conditionals.entries
-        row = rows[obs] = tuple([entries[(obs.feature, obs.value, d.id)] for d in kb.diseases])
+        entries, vectors = kb.conditionals.entries, _vectors(kb)
+        row = rows[obs] = tuple(
+            vectors[obs.feature][obs.value] if vectors is not None
+            else [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases]
+        )
     return row
 
 

@@ -12,9 +12,11 @@ Everything in this module is immutable after load and safe to share
 across threads.  ``KnowledgeBase.compiled_terms``, the engine's memos, is
 a cache whose entries do not depend on the order they are filled in, so
 sharing stays safe.  An ``Observation`` is a named tuple, equal to its
-``(feature, value)`` tuple, and keys those memos itself.  Changing
-``conditionals.entries`` after the first inference is unsupported; build
-a new one with ``dataclasses.replace``.
+``(feature, value)`` tuple, and keys those memos itself.  A loaded table's
+``entries`` are a read-only ``Mapping`` over one vector per (feature, value),
+iterated by feature, disease, then value, in the knowledge base's order.
+Changing a code-built table's dict after the first inference is
+unsupported; build a new one with ``dataclasses.replace``.
 
 File formats (UTF-8 JSON):
 
@@ -43,13 +45,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
+from itertools import product, repeat
+from operator import sub
 from typing import IO, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AllHypothesesRuledOut,
     ConflictingObservations,
     FileFormatError,
+    InputError,
     UnknownObservation,
     ValidationError,
 )
@@ -83,12 +87,49 @@ class Feature:
 
 @dataclass(frozen=True)
 class ConditionalTable:
-    """Dense map (feature id, value id, disease id) -> probability."""
+    """Dense map (feature id, value id, disease id) -> probability: a dict, or a loaded ``_LoadedEntries``."""
 
     entries: Mapping[tuple[str, str, str], float]
 
     def prob(self, feature: str, value: str, disease: str) -> float:
         return self.entries[(feature, value, disease)]
+
+
+class _LoadedEntries(Mapping):
+    """A table read from a file's conditional rows: ``vectors[feature][value]`` is
+    p(feature=value | d) per disease, in the order of ``layout``, the (diseases,
+    features) read.  Only indexing or iterating builds a dict of the entries, once.
+    A malformed row, or an unknown, repeated or missing entry, raises LookupError,
+    TypeError or AttributeError, and a value ``_number`` rejects FileFormatError."""
+
+    def __init__(self, diseases: tuple[Disease, ...], features: tuple[Feature, ...], rows: list) -> None:
+        self.layout = (diseases, features)
+        self.vectors = {f.id: {v: [None] * len(diseases) for v in f.values} for f in features}
+        column = {d.id: i for i, d in enumerate(diseases)}
+        filled = 0
+        for entry in rows:
+            i, by_value, probs = column[entry["disease"]], self.vectors[entry["feature"]], entry["probs"]
+            for value, p in probs.items():
+                if (vector := by_value[value])[i] is not None:
+                    raise LookupError(f"repeated entry for {value!r}")
+                vector[i] = p if type(p) is float and math.isfinite(p) else _number(p, "")
+            filled += len(probs)
+        if filled < len(self):
+            raise LookupError("missing entries")
+
+    @cached_property
+    def _dict(self) -> dict[tuple[str, str, str], float]:
+        return {(f, v, d.id): vector[i] for f, by_value in self.vectors.items()
+                for i, d in enumerate(self.layout[0]) for v, vector in by_value.items()}
+
+    def __getitem__(self, key: tuple[str, str, str]) -> float:
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.layout[0]) * sum(map(len, self.vectors.values()))
 
 
 @dataclass(frozen=True)
@@ -233,10 +274,24 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
         if len(set(f.values)) != len(f.values):
             violations.append(f"feature '{f.id}': duplicate value ids")
 
-    violations.extend(
-        _table_violations(kb.features, [d.id for d in kb.diseases], kb.conditionals.entries)
-    )
+    if violations or (vectors := _vectors(kb)) is None or not all(map(_holds, vectors.values())):
+        violations.extend(_table_violations(kb.features, [d.id for d in kb.diseases], kb.conditionals.entries))
     return violations
+
+
+def _vectors(kb: KnowledgeBase) -> dict | None:
+    """The vectors of a table loaded for ``kb``'s diseases and features, else None."""
+    entries = kb.conditionals.entries
+    fits = isinstance(entries, _LoadedEntries) and entries.layout == (kb.diseases, kb.features)
+    return entries.vectors if fits else None
+
+
+def _holds(by_value: dict) -> bool:
+    """The dense-table rule on one feature's loaded vectors in C-level passes: entries
+    in [0, 1], and each disease's row, fsummed as ``_table_violations`` does, near 1."""
+    columns = by_value.values()
+    return (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0
+            and max(map(abs, map(sub, map(math.fsum, zip(*columns)), repeat(1.0)))) <= PROB_SUM_TOL)
 
 
 def _table_violations(
@@ -424,28 +479,26 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
             )
         )
 
+    diseases, features = tuple(diseases), tuple(features)
+    rows = _array(_require(doc, "conditionals", "knowledge base"), "conditionals")
+    try:  # a valid file reads straight into vectors; the row loop below names any fault
+        return KnowledgeBase(diseases, features, ConditionalTable(_LoadedEntries(diseases, features, rows)))
+    except (LookupError, TypeError, AttributeError, InputError):
+        pass
+
     entries: dict[tuple[str, str, str], float] = {}
-    for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
-        # Only a row that is not well formed builds its location, in the field reads.
-        if not (type(entry) is dict and type(feat := entry.get("feature")) is str
-                and type(dis := entry.get("disease")) is str and type(probs := entry.get("probs")) is dict):
-            where = f"conditionals[{i}]"
-            feat = _field(_object(entry, where), "feature", where, _string)
-            dis = _field(entry, "disease", where, _string)
-            probs = _field(entry, "probs", where, _object)
-        for value, p in probs.items():
-            if type(p) is not float or not math.isfinite(p):
-                p = _number(p, f"conditionals[{i}].probs['{value}']")
+    for i, entry in enumerate(rows):
+        where = f"conditionals[{i}]"
+        feat = _field(_object(entry, where), "feature", where, _string)
+        dis = _field(entry, "disease", where, _string)
+        for value, p in _field(entry, "probs", where, _object).items():
+            p = _number(p, f"{where}.probs['{value}']")
             key = (feat, value, dis)
             if key in entries:
                 raise FileFormatError(f"conditionals[{i}]: repeats entry {key!r}")
             entries[key] = p
 
-    return KnowledgeBase(
-        diseases=tuple(diseases),
-        features=tuple(features),
-        conditionals=ConditionalTable(entries),
-    )
+    return KnowledgeBase(diseases=diseases, features=features, conditionals=ConditionalTable(entries))
 
 
 def serialize_kb(kb: KnowledgeBase) -> bytes:

@@ -22,6 +22,7 @@ from uncertain_dx.errors import (
     AllHypothesesRuledOut,
     DegeneratePrior,
     EmptyEvidence,
+    FileFormatError,
     InferenceError,
     UnknownDisease,
     ZeroMarginal,
@@ -35,8 +36,16 @@ from uncertain_dx.kb import (
     Feature,
     KnowledgeBase,
     Observation,
+    _array,
     _check_observation,
+    _field,
     _fsum,
+    _id,
+    _number,
+    _object,
+    _parse_json,
+    _require,
+    _string,
 )
 
 
@@ -484,3 +493,62 @@ def reference_table_violations(
             if abs(s - 1.0) > PROB_SUM_TOL:
                 violations.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
     return violations
+
+
+# Reference loader: ``kb.load_kb`` as it was before a loaded table was read into
+# per-(feature, value) vectors.  Its row loop builds a dict ``ConditionalTable``
+# in file order, and it is the reference for every loaded table and for every
+# error's class and message.
+
+
+def reference_load_kb(source) -> KnowledgeBase:
+    doc = _object(_parse_json(source, "knowledge base"), "knowledge base")
+
+    diseases = []
+    for i, entry in enumerate(_array(_require(doc, "diseases", "knowledge base"), "diseases")):
+        where = f"diseases[{i}]"
+        entry = _object(entry, where)
+        diseases.append(
+            Disease(
+                id=_field(entry, "id", where, _id),
+                name=_field(entry, "name", where, _string),
+                prior=_field(entry, "prior", where, _number),
+                equivalence_class=_field(entry, "class", where, _string),
+            )
+        )
+
+    features = []
+    for i, entry in enumerate(_array(_require(doc, "features", "knowledge base"), "features")):
+        where = f"features[{i}]"
+        entry = _object(entry, where)
+        values = _field(entry, "values", where, _array)
+        features.append(
+            Feature(
+                id=_field(entry, "id", where, _string),
+                name=_field(entry, "name", where, _string),
+                values=tuple(_string(v, f"{where}.values[{j}]") for j, v in enumerate(values)),
+            )
+        )
+
+    entries: dict[tuple[str, str, str], float] = {}
+    for i, entry in enumerate(_array(_require(doc, "conditionals", "knowledge base"), "conditionals")):
+        # Only a row that is not well formed builds its location, in the field reads.
+        if not (type(entry) is dict and type(feat := entry.get("feature")) is str
+                and type(dis := entry.get("disease")) is str and type(probs := entry.get("probs")) is dict):
+            where = f"conditionals[{i}]"
+            feat = _field(_object(entry, where), "feature", where, _string)
+            dis = _field(entry, "disease", where, _string)
+            probs = _field(entry, "probs", where, _object)
+        for value, p in probs.items():
+            if type(p) is not float or not math.isfinite(p):
+                p = _number(p, f"conditionals[{i}].probs['{value}']")
+            key = (feat, value, dis)
+            if key in entries:
+                raise FileFormatError(f"conditionals[{i}]: repeats entry {key!r}")
+            entries[key] = p
+
+    return KnowledgeBase(
+        diseases=tuple(diseases),
+        features=tuple(features),
+        conditionals=ConditionalTable(entries),
+    )

@@ -284,6 +284,14 @@ def test_one_line_escapes_every_line_break():
 
 
 class TestInferCommand:
+    def test_golden_json_byte_for_byte(self, tmp_path, data_dir):
+        """Every belief of case c1 printed in full, so a loaded knowledge base
+        that read one entry off by a bit would show."""
+        out = tmp_path / "infer.json"
+        args = ["infer", "--kb", KB, "--cases", CASES, "--case", "c1", "--format", "json", "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == (data_dir / "golden_infer.json").read_bytes()
+
     def test_single_observation_all_methods_agree(self, tmp_path, capsys):
         kb_path, _ = write_probe_kb(tmp_path)
         assert main(["infer", "--kb", kb_path, "e1=present"]) == 0

@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
+import random
+from collections.abc import Mapping
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import fault_ids, knowledge_bases, reference_table_violations, with_fault
+from support import (
+    fault_ids,
+    knowledge_bases,
+    random_kb,
+    random_observations,
+    reference_load_kb,
+    reference_table_violations,
+    with_fault,
+)
+from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import AllHypothesesRuledOut, FileFormatError, ValidationError
 from uncertain_dx.kb import (
     BeliefDistribution,
@@ -19,6 +33,7 @@ from uncertain_dx.kb import (
     Feature,
     KnowledgeBase,
     Observation,
+    _LoadedEntries,
     _table_violations,
     cross_product_feature,
     load_cases,
@@ -681,3 +696,242 @@ class TestCrossProductFeature:
     def test_no_rows_rejected(self):
         with pytest.raises(ValidationError, match="no joint conditional rows"):
             cross_product_feature(self.size, self.dist, ConditionalTable({}))
+
+
+# ---------------------------------------------------------------------------
+# Loader differential: load_kb reads a valid file straight into vectors and
+# sends any other through its row loop; tests/support.reference_load_kb is the
+# row loop alone, as it was before the vectors.
+
+_FIXTURE_KB = Path(__file__).with_name("data") / "fixture_kb.json"
+_DELETE = object()
+# Each JSON path's value is deleted or replaced by each of these.
+_REPLACEMENTS = ["x", 5, 2.5, -0.1, 1.5, [], {}, math.nan, None, True, 1e308]
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document: each object key and array index, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _edited(doc, *edits):
+    """A copy of ``doc`` with each (path, value) edit applied; ``_DELETE`` deletes."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        *parents, key = path
+        container = doc
+        for step in parents:
+            container = container[step]
+        if value is _DELETE:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(value)
+    return doc
+
+
+def _structural(doc, rng: random.Random):
+    """Documents that keep every value well typed but break or reorder the table:
+    repeated, split, missing and shuffled rows, unknown ids, and repeated ids."""
+    rows = doc["conditionals"]
+    first, second = doc["diseases"][0]["id"], doc["diseases"][1]["id"]
+    feature = doc["features"][0]
+    for k, row in enumerate(rows):
+        yield _edited(doc, (("conditionals",), rows + [row]))  # repeated row
+        head, *tail = row["probs"].items()
+        split = [dict(row, probs=dict([head])), dict(row, probs=dict(tail))]
+        yield _edited(doc, (("conditionals",), rows[:k] + split + rows[k + 1:]))  # split, still valid
+        yield _edited(doc, (("conditionals",), rows[:k] + [split[1]] + rows[k + 1:] + [split[0]]))
+        yield _edited(doc, (("conditionals", k), _DELETE))  # missing row
+        yield _edited(doc, (("conditionals", k, "feature"), "zz"))  # unknown feature
+        yield _edited(doc, (("conditionals", k, "disease"), "zz"))  # unknown disease
+        yield _edited(doc, (("conditionals", k, "probs"), {**row["probs"], "zz": 0.0}))  # unknown value
+    for _ in range(30):
+        shuffled = rng.sample(rows, len(rows))
+        paths = [("conditionals", k, "probs", v) for k, row in enumerate(shuffled) for v in row["probs"]]
+        yield _edited(doc, (("conditionals",), shuffled))  # shuffled, still valid
+        # Two faults in a shuffled file: each message must name them in file order.
+        faults = [(path, rng.choice([1.5, -0.1, 2, 0.5])) for path in rng.sample(paths, 2)]
+        yield _edited(doc, (("conditionals",), shuffled), *faults)
+    yield _edited(doc, (("diseases", 1, "id"), first))  # repeated disease id
+    yield _edited(doc, (("diseases", 0, "id"), second), (("diseases", 1, "id"), first))  # swapped ids
+    yield _edited(doc, (("features", 1, "id"), feature["id"]))  # repeated feature id
+    yield _edited(doc, (("features", 1), feature))  # repeated feature
+    yield _edited(doc, (("features", 0, "values", 1), feature["values"][0]))  # repeated value
+    yield _edited(doc, (("features", 0, "values"), feature["values"][::-1]))  # values reordered
+    yield _edited(doc, (("diseases",), doc["diseases"][::-1]))  # diseases reordered
+    # A row with an entry just outside [0, 1] that sums to 1 within tolerance,
+    # and rows that sum to just inside and just outside the tolerance.
+    values = feature["values"]
+    for probs in (
+        {values[0]: 1 + 5e-10},
+        {values[0]: -5e-10, values[1]: 1.0},
+        {values[0]: 0.5 + 5e-10, values[1]: 0.5},
+        {values[0]: 0.5 + 2e-9, values[1]: 0.5},
+    ):
+        row = {"feature": feature["id"], "disease": first, "probs": dict.fromkeys(values, 0.0) | probs}
+        others = [r for r in rows if (r["feature"], r["disease"]) != (feature["id"], first)]
+        yield _edited(doc, (("conditionals",), others + [row]))
+    # Empty parts of the table: no diseases, or a feature with no values.
+    yield _edited(doc, (("diseases",), []), (("conditionals",), []))
+    others = [r for r in rows if r["feature"] != feature["id"]]
+    yield _edited(doc, (("features", 0, "values"), []), (("conditionals",), others))
+
+
+def _outcome(load, data: bytes):
+    """What ``load`` makes of ``data``: the error's class and message, or the
+    knowledge base's diseases, features and entries, each to the bit."""
+    try:
+        kb = load(data)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    entries = kb.conditionals.entries
+    return kb.diseases, kb.features, {key: p.hex() for key, p in entries.items()}, len(entries)
+
+
+def _differential_documents():
+    fixture = json.loads(_FIXTURE_KB.read_text())
+    generated = json.loads(serialize_kb(random_kb(random.Random(5), n_diseases=3, n_features=2)))
+    rng = random.Random(11)
+    for doc in (fixture, generated):
+        yield doc
+        for path in _paths(doc):
+            for value in [_DELETE, *_REPLACEMENTS]:
+                yield _edited(doc, (path, value))
+        yield from _structural(doc, rng)
+    for value in _REPLACEMENTS:
+        yield value  # the whole document
+
+
+def test_load_kb_matches_the_row_loop_reference():
+    count = loaded = 0
+    for doc in _differential_documents():
+        data = json.dumps(doc).encode("utf-8")
+        outcome = _outcome(load_kb, data)
+        assert outcome == _outcome(reference_load_kb, data), data
+        if not isinstance(outcome[0], type):  # every valid file is read into vectors
+            assert not isinstance(load_kb(data).conditionals.entries, dict), data
+            loaded += 1
+        count += 1
+    assert count >= 1500 and loaded >= 50
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_loaded_tables_infer_as_the_row_loop_reference(seed):
+    """Each calculus gives the same beliefs, to the bit and in order, or the
+    same error, on a table loaded into vectors and on the reference's dict."""
+    rng = random.Random(seed)
+    data = serialize_kb(random_kb(rng, n_diseases=rng.randint(2, 8), n_features=rng.randint(1, 6)))
+    loaded, reference = load_kb(data), reference_load_kb(data)
+    assert isinstance(loaded.conditionals.entries, Mapping)
+    assert not isinstance(loaded.conditionals.entries, dict)
+    for _ in range(5):
+        observations = random_observations(rng, reference, rng.randint(0, 6))
+        for method in (simple_bayes, odds_likelihood, naive_dempster_shafer):
+            assert _inference(method, loaded, observations) == _inference(method, reference, observations)
+
+
+def _reversed_values(feature: Feature) -> Feature:
+    return dataclasses.replace(feature, values=feature.values[::-1])
+
+
+def _inference(method, kb, observations):
+    try:
+        result = method(kb, observations)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(d, p.hex()) for d, p in result.beliefs.items()], result.pre_norm_sum.hex()
+
+
+class TestLoadedEntries:
+    """The read-only ``Mapping`` a loaded knowledge base's table holds."""
+
+    def setup_method(self):
+        self.data = _FIXTURE_KB.read_bytes()
+        self.kb = load_kb(self.data)
+        self.entries = self.kb.conditionals.entries
+        self.reference = reference_load_kb(self.data).conditionals.entries
+
+    def test_equal_to_the_reference_dict(self):
+        assert self.entries == self.reference
+        assert self.reference == self.entries
+        assert self.kb == reference_load_kb(self.data)
+        assert len(self.entries) == len(self.reference) == 6 * sum(len(f.values) for f in self.kb.features)
+
+    def test_a_missing_entry_is_a_lookup_error(self):
+        rows = json.loads(self.data)["conditionals"]
+        _LoadedEntries(self.kb.diseases, self.kb.features, rows)
+        with pytest.raises(LookupError):
+            _LoadedEntries(self.kb.diseases, self.kb.features, rows[1:])
+
+    def test_length_builds_no_dict(self):
+        len(self.entries)
+        assert "_dict" not in vars(self.entries)
+
+    def test_prob_and_iteration(self):
+        keys = list(self.entries)
+        assert len(keys) == len(set(keys)) == len(self.reference)
+        assert set(keys) == set(self.reference)
+        for key in keys:
+            assert self.kb.conditionals.prob(*key) == self.reference[key]
+        # Feature by feature, then disease, then value, in the knowledge base's order.
+        assert keys == [
+            (f.id, v, d.id) for f in self.kb.features for d in self.kb.diseases for v in f.values
+        ]
+
+    def test_read_only(self):
+        key = next(iter(self.entries))
+        with pytest.raises(TypeError):
+            self.entries[key] = 0.5
+        with pytest.raises(TypeError):
+            del self.entries[key]
+        assert not hasattr(self.entries, "update")
+
+    def test_serialize_round_trip(self):
+        assert serialize_kb(self.kb) == serialize_kb(reference_load_kb(self.data))
+        assert load_kb(serialize_kb(self.kb)) == self.kb
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda kb: {"diseases": kb.diseases[::-1]},
+            lambda kb: {"diseases": kb.diseases[1:]},
+            lambda kb: {"features": kb.features[1:]},
+            lambda kb: {"features": (_reversed_values(kb.features[0]),)},
+            lambda kb: {"features": (*kb.features, Feature("extra", "extra", ("a", "b")))},
+        ],
+        ids=["diseases-reversed", "disease-dropped", "feature-dropped", "values-reversed", "feature-added"],
+    )
+    def test_replace_revalidates_as_the_reference(self, edit):
+        """A knowledge base built from a loaded table with other diseases or
+        features is checked, and infers, as one built from the reference dict."""
+        reference = reference_load_kb(self.data)
+        outcomes = []
+        for kb in (self.kb, reference):
+            try:
+                rebuilt = dataclasses.replace(kb, **edit(kb))
+            except ValidationError as exc:
+                outcomes.append(exc.violations)
+                continue
+            observations = [Observation(f.id, f.values[-1]) for f in rebuilt.features]
+            outcomes.append([_inference(m, rebuilt, observations) for m in (simple_bayes, odds_likelihood)])
+        assert outcomes[0] == outcomes[1]
+
+    def test_cross_product_feature_over_a_loaded_table(self):
+        doc = json.loads(self.data)
+        a, b = (Feature(f["id"], f["name"], tuple(f["values"])) for f in doc["features"][:2])
+        values = [f"{va}+{vb}" for va in a.values for vb in b.values]
+        doc["features"].append({"id": f"{a.id}+{b.id}", "name": "joint", "values": values})
+        for i, d in enumerate(doc["diseases"]):
+            weights = [(i + j) % 4 + 1 for j in range(len(values))]
+            probs = dict(zip(values, (w / sum(weights) for w in weights)))
+            doc["conditionals"].append({"feature": f"{a.id}+{b.id}", "disease": d["id"], "probs": probs})
+        data = json.dumps(doc).encode("utf-8")
+        loaded = load_kb(data)
+        assert not isinstance(loaded.conditionals.entries, dict)
+        merged, table = cross_product_feature(a, b, loaded.conditionals)
+        expected = cross_product_feature(a, b, reference_load_kb(data).conditionals)
+        assert (merged, table) == expected
+        assert list(table.entries) == list(expected[1].entries)
