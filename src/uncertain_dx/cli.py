@@ -133,18 +133,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
         observations = _parse_observations(args.observations)
 
     methods = _parse_methods(args.methods, CALCULI)
-    results = []
-    for method in methods:
-        dist = getattr(engine, method)(kb, observations)
-        results.append((method, dist))
+    results = [(method, getattr(engine, method)(kb, observations)) for method in methods]
 
     if args.format == "json":
         doc = [
-            {
-                "method": method,
-                "pre_norm_sum": dist.pre_norm_sum,
-                "beliefs": dict(dist.sorted_items()),
-            }
+            {"method": method, "pre_norm_sum": dist.pre_norm_sum, "beliefs": dict(dist.sorted_items())}
             for method, dist in results
         ]
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -267,8 +260,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_table() -> dict[str, dict[str | None, argparse.Action]]:
+    """Each command's arguments but -h, read once from ``build_parser``: its
+    single-value options by flag, and its ``nargs="*"`` positional under None."""
+    (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+    return {
+        name: {f: a for a in sub._actions if a.default is not argparse.SUPPRESS for f in a.option_strings or [None]}
+        for name, sub in commands.items()
+    }
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a command, exact options each given once
+    with a value not starting with "-", and at most one run of positionals; else None."""
+    if (table := _plain_table().get(argv[0] if argv else "")) is None:
+        return None
+    values, run, closed, tokens = {"command": argv[0]}, [], False, iter(argv[1:])
+    for token in tokens:
+        action = table.get(token)
+        if action is None and None in table and not closed and not token.startswith("-"):
+            run.append(token)
+            continue
+        value, closed = next(tokens, "-"), bool(run)  # an option closes the run
+        if action is None or action.dest in values or value.startswith("-"):
+            return None
+        try:
+            values[action.dest] = value = action.type(value) if action.type else value
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    for flag, action in table.items():
+        if flag and action.required and action.dest not in values:
+            return None
+        values.setdefault(action.dest, action.default if flag else run)
+    return argparse.Namespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``); argparse parses any that is not plain."""
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     # Looked up on every call, not stored in the cached parser, so a
     # replaced ``cmd_*`` function is the one that runs.
     commands = {"validate": cmd_validate, "infer": cmd_infer, "evaluate": cmd_evaluate, "probe": cmd_probe}

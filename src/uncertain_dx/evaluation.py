@@ -23,10 +23,10 @@ import json
 import math
 import operator
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from statistics import NormalDist
 from typing import Collection, Sequence
 
@@ -235,9 +235,10 @@ def permutation_test(
 
     Whether a flipped statistic, the ``math.fsum`` of the flipped weighted
     differences, reaches the observed one is decided in exact integers
-    (``_flip_sum_tables``), as summing each flip would.  All draws are
-    scored in one C-level pass per byte column, listing the sums after
-    each, so no chain of lazy maps (recursing in C) grows with n.
+    (``_flip_sum_tables``), as summing each flip would.  Each distinct draw
+    is scored once and counts as often as it was drawn (``_flip_patterns``),
+    in one C-level pass per byte column, listing the sums after each, so no
+    chain of lazy maps (recursing in C) grows with n.
 
     Deterministic for a seed: each iteration's RNG stream depends only on
     (seed, iteration), and sorting by case id makes pair order irrelevant.
@@ -254,11 +255,11 @@ def permutation_test(
     pairs = sorted(zip(diffs, weights), key=lambda dw: (dw[1].case_id, dw[0], dw[1].weight))
     weighted = [w.weight * d for d, w in pairs]
     tables, threshold = _flip_sum_tables(weighted, math.fsum(weighted))
-    columns = _sign_flips(len(weighted), iterations, seed)
+    columns, counts = _flip_patterns(len(weighted), iterations, seed)
     sums = map(tables[0].__getitem__, columns[0])
     for table, column in zip(tables[1:], columns[1:]):
         sums = list(map(operator.add, sums, map(table.__getitem__, column)))
-    hits = sum(map(threshold.__le__, sums))
+    hits = sum(compress(counts, map(threshold.__le__, sums)))
     return (1 + hits) / (1 + iterations)
 
 
@@ -308,6 +309,13 @@ def _sign_flips(n: int, iterations: int, seed: int) -> tuple[bytes, ...]:
     for i in range(iterations):
         flips += random.Random((seed << 32) + i).getrandbits(n).to_bytes(width, "little")
     return tuple(bytes(flips[j::width]) for j in range(width))
+
+
+@functools.lru_cache(maxsize=1)
+def _flip_patterns(n: int, iterations: int, seed: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    """Each distinct draw of ``_sign_flips`` once, as its byte columns, and how many iterations drew it."""
+    counts = Counter(zip(*_sign_flips(n, iterations, seed)))
+    return tuple(map(bytes, zip(*counts))), tuple(counts.values())
 
 
 def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:

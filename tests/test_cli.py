@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import random
+import shlex
 import sys
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uncertain_dx.cli import _one_line, main
+from uncertain_dx import cli
+from uncertain_dx.cli import _one_line, _plain_args, build_parser, main
 
 KB = "tests/data/fixture_kb.json"
 CASES = "tests/data/fixture_cases.json"
@@ -499,3 +503,155 @@ class TestProbeCommand:
         out = tmp_path / "probe.tsv"
         assert main(["probe", "--likelihoods", "0.8,0.6,0.2", "--n-max", "2", "--out", str(out)]) == 0
         assert out.read_bytes().endswith(b"\n")
+
+
+class TestPlainCommandLines:
+    """``main`` reads a plain command line without argparse's walk; every
+    command line must still parse, or fail, exactly as argparse has it."""
+
+    FLAGS = {
+        "validate": ["--kb", "--cases", "--utilities"],
+        "infer": ["--kb", "--cases", "--case", "--methods", "--format", "--out"],
+        "evaluate": [
+            "--kb", "--cases", "--utilities", "--methods", "--gold", "--seed", "--iterations", "--format", "--out",
+        ],
+        "probe": ["--likelihoods", "--priors", "--n-max", "--out"],
+    }
+    REQUIRED = {"validate": ["--kb"], "infer": ["--kb"], "evaluate": ["--kb", "--cases", "--utilities"],
+                "probe": ["--likelihoods", "--n-max"]}
+    GOOD = {
+        "--format": ["tsv", "json"], "--gold": ["informed", "descriptive"],
+        "--seed": ["7", "0", "+3", "1_000", " 7"], "--iterations": ["2000", "1000"],
+        "--n-max": ["3", "100"], "--likelihoods": ["0.8,0.2"],
+    }
+    # Values argparse reads in some other way: bad choices and ints, values
+    # that start with "-", empty strings and bare option-like tokens.
+    ODD = ["", "xml", "many", "-5", "-x", "--", "-h", "--kb", "f=v", "a b", "-1.5"]
+    POSITIONALS = ["f=v", "necrosis=focal", "", "x", "-x", "-5", " 7"]
+    EXTRAS = ["-h", "--help", "--", "-x", "--kb=k.json"]
+
+    def random_argv(self, rng: random.Random, command: str) -> list[str]:
+        flags, required = self.FLAGS[command], self.REQUIRED[command]
+        chosen = required + [f for f in flags if f not in required and rng.random() < 0.4]
+        if rng.random() < 0.15:
+            chosen.remove(rng.choice(chosen))  # may drop a required option
+        if chosen and rng.random() < 0.1:
+            chosen.append(rng.choice(chosen))  # a repeated option
+        rng.shuffle(chosen)
+        chunks = []
+        for flag in chosen:
+            value = rng.choice(self.GOOD.get(flag, ["p.json", "c1"]) if rng.random() < 0.9 else self.ODD)
+            form = rng.random()
+            if form < 0.03:
+                chunks.append([f"{flag}={value}"])
+            elif form < 0.06:
+                chunks.append([flag[: rng.randint(3, len(flag) - 1)], value])  # abbreviated, maybe ambiguously
+            elif form < 0.08:
+                chunks.append([flag])  # no value
+            else:
+                chunks.append([flag, value])
+        if rng.random() < (0.5 if command == "infer" else 0.1):
+            run = [rng.choice(self.POSITIONALS) for _ in range(rng.randint(1, 3))]
+            cuts = sorted(rng.sample(range(len(chunks) + 1), min(len(chunks) + 1, rng.choice([1, 1, 1, 2]))))
+            pieces = [run] if len(cuts) == 1 or len(run) == 1 else [run[:1], run[1:]]  # one run, or split
+            for cut, piece in reversed(list(zip(cuts, pieces))):
+                chunks.insert(cut, piece)
+        if rng.random() < 0.05:
+            chunks.insert(rng.randint(0, len(chunks)), [rng.choice(self.EXTRAS)])
+        argv = [command] + [token for chunk in chunks for token in chunk]
+        if rng.random() < 0.03:
+            argv = argv[1:] + argv[:1] if rng.random() < 0.5 else [command[:3]] + argv[1:]
+        return argv
+
+    @staticmethod
+    def outcome(parse, argv):
+        """What ``parse(argv)`` returns, or its exit code with what it printed."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                return parse(argv)
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", ["validate", "infer", "evaluate", "probe"])
+    def test_matches_argparse_on_random_command_lines(self, command, monkeypatch):
+        ran = []
+        for name in self.FLAGS:
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args: ran.append(args) or 0)
+        rng = random.Random(f"argv:{command}")
+        plain = 0
+        for _ in range(5000):
+            argv = self.random_argv(rng, command)
+            expected = self.outcome(build_parser().parse_args, argv)
+            fast = _plain_args(argv)
+            if fast is not None:
+                plain += 1
+                assert fast == expected, argv
+            ran.clear()
+            got = self.outcome(main, argv)
+            assert (ran[0] if got == 0 else got) == expected, argv
+        assert 1000 < plain < 4500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "-h"],
+            ["validate", "--kb=k.json"],
+            ["validate", "--k", "k.json"],
+            ["validate", "--kb", "a.json", "--kb", "b.json"],
+            ["probe", "--likelihoods", "-0.5", "--n-max", "3"],
+            ["infer", "--kb", "k.json", "--format", "xml"],
+            ["probe", "--likelihoods", "0.5", "--n-max", "three"],
+            ["evaluate", "--kb", "k.json", "--cases", "c.json"],
+            ["infer", "a=1", "--kb", "k.json", "b=2"],
+            ["validate", "--kb", "k.json", "a=1"],
+            ["infer", "--kb", "k.json", "--", "a=1"],
+            [],
+        ],
+    )
+    def test_other_command_lines_are_left_to_argparse(self, argv):
+        assert _plain_args(argv) is None
+
+    def test_every_argument_is_one_the_plain_path_reads(self):
+        """``_plain_args`` reads single-value stores (none with a string default
+        that a ``type`` would convert) and one untyped ``nargs="*"`` positional;
+        another kind of argument needs it extended first."""
+        (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+        assert sorted(commands) == sorted(self.FLAGS)
+        for name, sub in commands.items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            positionals = [a for a in actions if not a.option_strings]
+            assert sorted(f for a in actions for f in a.option_strings) == sorted(self.FLAGS[name])
+            assert all(type(a) is argparse._StoreAction and a.const is None for a in actions), name
+            options = [a for a in actions if a.option_strings]
+            assert all(a.nargs is None and not (a.type and isinstance(a.default, str)) for a in options), name
+            assert [(a.nargs, a.type, a.choices, a.default) for a in positionals] in ([], [("*", None, None, None)])
+            assert [a.default for a in sub._actions if a.default is argparse.SUPPRESS] == [argparse.SUPPRESS]
+
+    def test_benchmark_ci_and_golden_command_lines_are_plain(self, tmp_path, monkeypatch, data_dir):
+        """Only the workflow's deliberate ``--opt=value`` line goes through argparse."""
+        root = data_dir.parent.parent
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        import workloads
+
+        plans = [plan(1, True, tmp_path / name) for name, plan in workloads.WORKLOADS.items()]
+        argvs = [command.argv for p in plans for command in p.commands + p.extra]
+        argvs += [
+            EVALUATE, EVALUATE + ["--format", "json"],
+            ["infer", "--kb", KB, "--cases", CASES, "--case", "c1", "--format", "json"],
+            ["probe", "--likelihoods", "0.8,0.6,0.5,0.3,0.2", "--n-max", "100"],
+        ]
+        for argv in argvs:
+            assert _plain_args(argv) == build_parser().parse_args(argv), argv
+        workflow = (root / ".github/workflows/tests.yml").read_text()
+        fixture = shlex.split(workflow.split('fixture="')[1].split('"')[0])
+        ci = [
+            shlex.split(line.split("uncertain-dx ", 1)[1].split(">")[0].replace("$fixture", " ".join(fixture)))
+            for line in workflow.replace("\\\n", " ").splitlines()
+            if "uncertain-dx " in line and ">" in line
+        ]
+        assert len(ci) >= 7
+        for argv in ci:
+            assert self.outcome(build_parser().parse_args, argv).command in ("evaluate", "infer", "probe")
+        fallback = [argv for argv in ci if _plain_args(argv) is None]
+        assert len(fallback) == 1 and fallback[0][1].startswith("--kb="), fallback

@@ -272,6 +272,22 @@ class TestPermutationTest:
             bits = random.Random((seed << 32) + i).getrandbits(n)
             assert bytes(c[i] for c in columns) == bits.to_bytes(len(columns), "little")
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25, 40])
+    def test_flip_patterns_count_each_distinct_draw(self, n):
+        """Each distinct draw once, as byte columns, with counts that add up
+        to the iterations and, repeated, give back the multiset of draws."""
+        iterations, seed = 1001, 5
+        draws = list(zip(*evaluation._sign_flips(n, iterations, seed)))
+        columns, counts = evaluation._flip_patterns(n, iterations, seed)
+        assert len(columns) == -(-n // 8)
+        assert all(type(c) is bytes and len(c) == len(counts) for c in columns)
+        patterns = list(zip(*columns))
+        assert len(set(patterns)) == len(patterns)
+        assert sum(counts) == iterations and min(counts) >= 1
+        assert sorted(p for p, k in zip(patterns, counts) for _ in range(k)) == sorted(draws)
+        if n <= 8:
+            assert len(patterns) <= 2**n
+
     @settings(max_examples=200, deadline=None)
     @given(sample=paired_samples(), seed=st.integers(0, 3), iterations=st.sampled_from([1000, 1001, 2000]))
     # Flips of 1000 and -1000 tie the observed statistic.
@@ -671,6 +687,7 @@ class TestEvaluateMethods:
 
         monkeypatch.setattr(random, "Random", CountingRandom)
         evaluation._sign_flips.cache_clear()
+        evaluation._flip_patterns.cache_clear()
         report = self.run(fixture_kb, fixture_cases, fixture_utilities, iterations=1000)
         assert sum(r.test == "monte_carlo_permutation" for r in report.significance) == 6
         assert constructed == 1000
