@@ -209,11 +209,11 @@ def weighted_mean_sd(values: Sequence[float], weights: Sequence[CaseWeight]) -> 
         raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
     mean = math.fsum(w.weight * v for v, w in zip(values, weights))
     # A deviation of 2**511 or more may overflow when squared, so scale them all
-    # by 2**-600 and the result back: barring underflow that changes no rounding.
+    # by 2**-600 and the result back. Squares are products, which round correctly
+    # (libm's pow need not), so barring underflow the scaling changes no rounding.
     shift = 600 if max(abs(v - mean) for v in values) >= 2.0**511 else 0
-    variance = math.fsum(
-        w.weight * math.ldexp(v - mean, -shift) ** 2 for v, w in zip(values, weights)
-    )
+    deviations = (math.ldexp(v - mean, -shift) for v in values)
+    variance = math.fsum(w.weight * (d * d) for d, w in zip(deviations, weights))
     return mean, math.ldexp(math.sqrt(max(variance, 0.0)), shift)
 
 

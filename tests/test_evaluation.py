@@ -194,15 +194,18 @@ class TestWeightedMeanSd:
         st.lists(st.just(0.0) | st.floats(2.0**-100, 2.0**510), min_size=1, max_size=8),
         st.integers(0, 2**32 - 1),
     )
+    @example([0.0, 1.787289733202862e76], 0)
     def test_scaling_leaves_the_bits(self, values, seed):
         """With normalized weights, as ``case_weights`` makes them: below the
         threshold nothing is scaled, and above it the scaled result equals
-        the unscaled one computed a power of two lower."""
+        the unscaled one computed a power of two lower. Squares are taken as
+        products: ``d ** 2`` goes through libm's pow, which misrounds the
+        example's second deviation by one ulp, so scaling would move it."""
         rng = random.Random(seed)
         raw = [rng.random() + 1e-3 for _ in values]
         weights = [CaseWeight(f"c{i}", r / math.fsum(raw)) for i, r in enumerate(raw)]
         mean = math.fsum(w.weight * v for v, w in zip(values, weights))
-        variance = math.fsum(w.weight * (v - mean) ** 2 for v, w in zip(values, weights))
+        variance = math.fsum(w.weight * ((v - mean) * (v - mean)) for v, w in zip(values, weights))
         assert weighted_mean_sd(values, weights) == (mean, math.sqrt(max(variance, 0.0)))
         big = [math.ldexp(v, 512) for v in values]
         sd = math.sqrt(max(variance, 0.0))
