@@ -2,17 +2,13 @@
 
 Diagnostic utilities U(true disease, diagnosed disease) are stored as
 nonnegative *disutilities* in micromorts (one micromort = a one in one
-million chance of immediate, painless death).  Expected-utility
-maximization over negated utilities is therefore implemented here as
-expected-disutility minimization; the chosen diagnosis is identical and
+million chance of immediate, painless death), so expected-utility
+maximization is expected-disutility minimization: the same diagnosis, with
 reported numbers read as "decrease in utility", smallest is best.
-
 Utilities are assessed once per equivalence class (diseases sharing
-treatment and prognosis) and expanded to diseases on demand: a quadratic
-number of assessments over the few classes, not the many diseases.
-``meu_diagnosis`` prices each class once per decision, at O(C·D); an
-evaluation builds each class's column over the diseases once, and prices
-a distribution with C ``fsum``s of D products.
+treatment and prognosis), and the MEU rule prices the C classes, not the D
+diseases: each class's column over the diseases, built once in O(C·D),
+prices a distribution in one ``fsum`` of D products.
 
 Utility file format (UTF-8 JSON)::
 
@@ -26,10 +22,12 @@ Utility file format (UTF-8 JSON)::
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
-from typing import IO, Mapping
+from itertools import repeat
+from typing import IO, Callable, Mapping
 
 from .errors import (
     FileFormatError,
@@ -120,23 +118,44 @@ def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: Knowledge
 
     Candidates are all diseases in the knowledge base; ties go to the
     smallest disease id, so any disease within the optimal equivalence
-    class may be returned and all such choices score identically.  Each
-    class's expected disutility is computed once, when the scan first
-    meets one of its diseases.
+    class may be returned and all such choices score identically.  An
+    unmapped disease raises where a scan of the diseases in id order,
+    pricing each one's class, would meet it.
     """
-    best_id = None
-    best = math.inf
-    by_class: dict[str, float] = {}
-    for candidate in sorted(d.id for d in kb.diseases):
-        cls = utilities.disease_class(candidate)
-        if cls not in by_class:
-            by_class[cls] = expected_class_disutility(p, utilities, cls)
-        expected = by_class[cls]
-        if expected < best:
-            best, best_id = expected, candidate
-    if best_id is None:
-        raise ValueError(f"no finite expected disutility among the classes: {by_class}")
-    return best_id
+    return _meu_pricer(utilities, kb)(p)[0]
+
+
+def _meu_pricer(utilities: UtilityMatrix, kb: KnowledgeBase) -> Callable:
+    """The MEU rule for one utility model and KB: p -> (``meu_diagnosis``'s
+    pick, each class's expected disutility under p).
+
+    A class's column U(class(d), c) over the KB's diseases d prices p in one
+    ``fsum``, adding 0.0 * u per disease p omits, so only a zero's sign or a
+    non-finite sum can differ from ``expected_class_disutility``, which
+    prices those and distributions outside the KB.
+    """
+    ids = sorted(kb.disease_index)
+    if not kb.disease_index.keys() <= utilities.expansion.keys():
+        # The scan raises at the smallest id or p's first unmapped disease, else the smallest unmapped id.
+        return lambda p: [expected_class_disutility(p, utilities, utilities.disease_class(d)) for d in ids]
+    firsts: dict[str, str] = {}  # each class's smallest disease id, in the scan's order
+    for d in ids:
+        firsts.setdefault(utilities.expansion[d], d)
+    columns = {c: [utilities.class_disutility[(utilities.expansion[d], c)] for d in ids] for c in firsts}
+
+    def price(p: BeliefDistribution) -> tuple[str, dict[str, float]]:
+        in_kb = p.beliefs.keys() <= kb.disease_index.keys()
+        vector = list(map(p.beliefs.get, ids, repeat(0.0))) if in_kb else [math.nan] * len(ids)
+        priced = {c: math.fsum(map(operator.mul, vector, column)) for c, column in columns.items()}
+        for c, value in priced.items():
+            if not 0.0 < value < math.inf:
+                priced[c] = expected_class_disutility(p, utilities, c)
+        best = min(filter(math.inf.__gt__, priced.values()), default=None)
+        if best is None:
+            raise ValueError(f"no finite expected disutility among the classes: {priced}")
+        return min(d for c, d in firsts.items() if priced[c] == best), priced
+
+    return price
 
 
 def expand_utilities(utilities: UtilityMatrix, kb: KnowledgeBase) -> dict[tuple[str, str], float]:

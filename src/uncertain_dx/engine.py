@@ -80,10 +80,10 @@ def _row(kb: KnowledgeBase, obs: Observation) -> tuple:
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
     """Check the observations, then return each one's ``calculus`` terms, one
     per disease, computed on first use from its row and memoized on the
-    knowledge base.  A memoized finding was checked when compiled, so only the
-    misses are checked one by one, and a repeated feature by one set; if any
-    check fails, every observation is checked in order, as the first failure
-    must be raised.  A compile error memoizes only the row."""
+    knowledge base.  A memoized finding was checked when compiled; a repeated
+    feature checks every observation in order, and otherwise ``_row`` checks
+    the misses in order, all before any is compiled.  A compile error memoizes
+    only the row."""
     memo = kb.compiled_terms[calculus]
     try:
         found = list(map(memo.get, observations))
@@ -91,16 +91,12 @@ def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observati
     except (TypeError, AttributeError):  # not an observation, or an unhashable field
         _check_all(kb, observations)
         raise
-    misses = list(compress(range(len(found)), map(is_, found, repeat(None))))
-    index = kb.feature_index
-    if repeated or not all(
-        (feature := index.get(observations[i].feature)) is not None and observations[i].value in feature.values
-        for i in misses
-    ):
+    if repeated:
         _check_all(kb, observations)
-    for i in misses:
-        obs = observations[i]
-        found[i] = memo[obs] = _COMPILE[calculus](kb, obs, _row(kb, obs))
+    misses = list(compress(range(len(found)), map(is_, found, repeat(None))))
+    rows = [_row(kb, observations[i]) for i in misses]
+    for i, row in zip(misses, rows):
+        found[i] = memo[observations[i]] = _COMPILE[calculus](kb, observations[i], row)
     return found
 
 

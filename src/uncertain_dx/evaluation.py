@@ -26,16 +26,17 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from statistics import NormalDist
 from typing import Collection, Sequence
 
 from . import engine
 from .decision import (
     UtilityMatrix,
+    _meu_pricer,
     expected_class_disutility,
     max_belief_diagnosis,
-    meu_diagnosis,
+    meu_diagnosis,  # unused here; bench/spans.py patches evaluation.meu_diagnosis by name
 )
 from .errors import (
     InferenceError,
@@ -299,23 +300,15 @@ def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[l
 
 
 @functools.lru_cache(maxsize=1)
-def _sign_flips(n: int, iterations: int, seed: int) -> tuple[bytes, ...]:
-    """ceil(n / 8) columns: byte i of column j is byte j, little-endian, of
-    iteration i's ``getrandbits(n)`` from its own RNG stream.  They depend only
-    on (n, iterations, seed), so all pair tests of one evaluation share a draw.
-    """
-    width = (n + 7) // 8
-    flips = bytearray()
-    for i in range(iterations):
-        flips += random.Random((seed << 32) + i).getrandbits(n).to_bytes(width, "little")
-    return tuple(bytes(flips[j::width]) for j in range(width))
-
-
-@functools.lru_cache(maxsize=1)
 def _flip_patterns(n: int, iterations: int, seed: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
-    """Each distinct draw of ``_sign_flips`` once, as its byte columns, and how many iterations drew it."""
-    counts = Counter(zip(*_sign_flips(n, iterations, seed)))
-    return tuple(map(bytes, zip(*counts))), tuple(counts.values())
+    """Each distinct sign-flip draw once, in the order first drawn, as ceil(n / 8) byte
+    columns (byte k of column j is byte j, little-endian, of draw k), and how many
+    iterations drew it.  Iteration i draws ``getrandbits(n)`` from the RNG seeded
+    (seed << 32) + i, so all pair tests of one evaluation share one draw."""
+    counts = Counter(random.Random((seed << 32) + i).getrandbits(n) for i in range(iterations))
+    width = (n + 7) // 8
+    patterns = b"".join(bits.to_bytes(width, "little") for bits in counts)
+    return tuple(patterns[j::width] for j in range(width)), tuple(counts.values())
 
 
 def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
@@ -393,30 +386,10 @@ def _rating_pass(
 ) -> tuple[list[float], dict[str, list[float]], dict[str, int]]:
     """(gold ratings, each row's ratings, each row's agreement count) over the inferred cases.
 
-    A class's column U(class(d), c) over the KB's diseases d prices a distribution in one ``fsum``;
-    it adds 0.0 * u per disease the distribution omits, so only a zero's sign or a non-finite sum can
-    differ from ``expected_class_disutility``, which prices those and distributions outside the KB.
+    One MEU pricer, built once, decides the gold diagnosis and each MEU row's, and prices every
+    class under each case's gold distribution, so each rating is a lookup of the diagnosis's class.
     """
-    ids = [d.id for d in kb.diseases]
-    if not kb.disease_index.keys() <= utilities.expansion.keys():
-        meu_diagnosis(inferred[0][0].gold(gold_source), utilities, kb)  # raises as the first case would
-    # Each class's smallest disease id (written last) and its column over the KB's diseases.
-    firsts = {utilities.expansion[d]: d for d in sorted(ids, reverse=True)}
-    columns = {c: [utilities.class_disutility[(utilities.expansion[d], c)] for d in ids] for c in firsts}
-
-    def meu(p: BeliefDistribution) -> tuple[str, dict[str, float]]:
-        """(``meu_diagnosis(p, utilities, kb)``, each class's price under ``p``)."""
-        in_kb = p.beliefs.keys() <= kb.disease_index.keys()
-        vector = list(map(p.beliefs.get, ids, repeat(0.0))) if in_kb else [math.nan] * len(ids)
-        priced = {c: math.fsum(map(operator.mul, vector, column)) for c, column in columns.items()}
-        for c, price in priced.items():
-            if not 0.0 < price < math.inf:
-                priced[c] = expected_class_disutility(p, utilities, c)
-        best = min(filter(math.inf.__gt__, priced.values()), default=None)
-        if best is None:
-            meu_diagnosis(p, utilities, kb)  # raises its error: no class is priced below +inf
-        return min(d for c, d in firsts.items() if priced[c] == best), priced
-
+    meu = _meu_pricer(utilities, kb)
     gold_ratings: list[float] = []
     ratings: dict[str, list[float]] = {row: [] for row in rules}
     agreement = dict.fromkeys(rules, 0)
@@ -448,8 +421,8 @@ def evaluate_methods(
     picks each rated row's diagnosis (highest belief, or minimum expected
     disutility for ``simple_bayes_meu`` and for the other gold standard),
     prices it under the gold distribution, and compares it with the gold
-    diagnosis, from one table of class columns (O(C·D) to build; C ``fsum``s
-    of D products per distribution priced, the gold's once per case).
+    diagnosis, all from one MEU pricer built per evaluation (the gold's
+    prices once per case).
     Aggregation is a deterministic reduce in that case order.
     """
     if gold_source not in GOLD_SOURCES:

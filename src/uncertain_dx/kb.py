@@ -384,6 +384,8 @@ def _parse_json(source: bytes | str | os.PathLike | IO[bytes], what: str):
         ) from exc
     except ValueError as exc:  # e.g. an integer literal beyond the digit limit
         raise FileFormatError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{what}: JSON nested too deeply to parse") from exc
 
 
 def _object(value, where: str) -> dict:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from uncertain_dx.decision import max_belief_diagnosis, meu_diagnosis
+from uncertain_dx.decision import expected_class_disutility, max_belief_diagnosis
 from uncertain_dx.engine import _PRIOR_ONE_TOL
 from uncertain_dx.errors import (
     AllHypothesesRuledOut,
@@ -274,20 +274,43 @@ def reference_permutation_test(
     return (1 + hits) / (1 + iterations)
 
 
+def reference_meu_diagnosis(p: BeliefDistribution, utilities, kb: KnowledgeBase) -> str:
+    """The MEU rule as a scan over the KB's diseases in id order, pricing each
+    class when the scan first meets it and keeping the first strictly smaller
+    price: the reference for ``decision.meu_diagnosis``'s class columns, bit
+    for bit and error for error."""
+    best_id = None
+    best = math.inf
+    by_class: dict[str, float] = {}
+    for candidate in sorted(d.id for d in kb.diseases):
+        cls = utilities.disease_class(candidate)
+        if cls not in by_class:
+            by_class[cls] = expected_class_disutility(p, utilities, cls)
+        expected = by_class[cls]
+        if expected < best:
+            best, best_id = expected, candidate
+    if best_id is None:
+        raise ValueError(f"no finite expected disutility among the classes: {by_class}")
+    return best_id
+
+
 def reference_rating_pass(kb: KnowledgeBase, utilities, gold_source: str, inferred, rules):
-    """The rating pass as one ``meu_diagnosis`` per MEU decision and one
-    ``expected_disutility`` per rating, the reference for
-    ``evaluation._rating_pass``'s pricing table, bit for bit and error for
+    """The rating pass as one ``reference_meu_diagnosis`` per MEU decision and
+    one ``expected_disutility`` per rating, the reference for
+    ``evaluation._rating_pass``'s shared pricer, bit for bit and error for
     error: (gold ratings, each row's ratings, each row's agreement count)."""
     gold_ratings = []
     ratings = {row: [] for row in rules}
     agreement = dict.fromkeys(rules, 0)
     for case, dists in inferred:
         p_gold = case.gold(gold_source)
-        dx_gold = meu_diagnosis(p_gold, utilities, kb)
+        dx_gold = reference_meu_diagnosis(p_gold, utilities, kb)
         gold_ratings.append(expected_disutility(p_gold, utilities, dx_gold, kb))
         for row, (source, uses_meu) in rules.items():
-            dx = meu_diagnosis(dists[source], utilities, kb) if uses_meu else max_belief_diagnosis(dists[source])
+            if uses_meu:
+                dx = reference_meu_diagnosis(dists[source], utilities, kb)
+            else:
+                dx = max_belief_diagnosis(dists[source])
             ratings[row].append(expected_disutility(p_gold, utilities, dx, kb))
             agreement[row] += dx == dx_gold
     return gold_ratings, ratings, agreement

@@ -6,6 +6,7 @@ import argparse
 import io
 import json
 import random
+import re
 import shlex
 import sys
 import tempfile
@@ -204,6 +205,19 @@ def test_malformed_document_exits_2(name, tmp_path, capsys):
         assert main(command + files) == 2
         err = capsys.readouterr().err
         assert err.startswith("FileFormatError: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("option, kind", [("--kb", "knowledge base"), ("--cases", "cases"), ("--utilities", "utilities")])
+def test_deep_nesting_exits_2(option, kind, tmp_path, capsys):
+    """A file nested past the JSON parser's recursion limit is an input error
+    naming the file kind, one line on stderr, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    paths = {"--kb": KB, "--cases": CASES, "--utilities": UTILITIES, option: str(deep)}
+    files = [token for item in paths.items() for token in item]
+    for command in (["validate"], ["evaluate", "--iterations", "1000"]):
+        assert main(command + files) == 2
+        assert capsys.readouterr().err == f"FileFormatError: {kind}: JSON nested too deeply to parse\n"
 
 
 def _paths(doc, prefix=()):
@@ -645,13 +659,14 @@ class TestPlainCommandLines:
             assert _plain_args(argv) == build_parser().parse_args(argv), argv
         workflow = (root / ".github/workflows/tests.yml").read_text()
         fixture = shlex.split(workflow.split('fixture="')[1].split('"')[0])
+        # Each console-script line up to its redirection of stdout (">") or stderr ("2>").
         ci = [
-            shlex.split(line.split("uncertain-dx ", 1)[1].split(">")[0].replace("$fixture", " ".join(fixture)))
+            shlex.split(re.split(r"\s2?>", line.split("uncertain-dx ", 1)[1])[0].replace("$fixture", " ".join(fixture)))
             for line in workflow.replace("\\\n", " ").splitlines()
             if "uncertain-dx " in line and ">" in line
         ]
-        assert len(ci) >= 7
+        assert len(ci) >= 9
         for argv in ci:
-            assert self.outcome(build_parser().parse_args, argv).command in ("evaluate", "infer", "probe")
+            assert self.outcome(build_parser().parse_args, argv).command in ("validate", "evaluate", "infer", "probe")
         fallback = [argv for argv in ci if _plain_args(argv) is None]
         assert len(fallback) == 1 and fallback[0][1].startswith("--kb="), fallback

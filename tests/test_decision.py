@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from support import fault_ids, with_fault
+from support import fault_ids, reference_meu_diagnosis, with_fault
 from uncertain_dx import decision
 from uncertain_dx.decision import (
     MicromortQuote,
@@ -190,22 +190,34 @@ class TestMeuDiagnosis:
         assert meu_diagnosis(p, u, kb) == meu_diagnosis(p, u2, kb)
 
     def test_each_class_priced_once(self, monkeypatch):
-        """The expected disutility of each equivalence class is computed
-        once per decision, so a decision costs O(C*D), not O(D^2)."""
+        """A decision reads each class's column over the diseases once, C*D
+        table entries, and prices an in-KB distribution with positive finite
+        prices from them alone, so it costs O(C*D), not O(D^2)."""
         rng = random.Random(5)
         classes = [f"k{i}" for i in range(4)]
         expansion = {f"d{i:02d}": classes[i % 4] for i in range(12)}
-        u = matrix(classes, {(i, j): rng.uniform(0, 1e6) for i in classes for j in classes}, expansion)
+        reads, fallbacks = [], []
+
+        class CountingTable(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        table = CountingTable({(i, j): rng.uniform(1.0, 1e6) for i in classes for j in classes})
+        u = UtilityMatrix(classes=tuple(classes), class_disutility=table, expansion=expansion)
         p = dist(**{d: 1 / 12 for d in expansion})
-        priced = []
 
         def counting(p, utilities, diagnosed_class):
-            priced.append(diagnosed_class)
+            fallbacks.append(diagnosed_class)
             return expected_class_disutility(p, utilities, diagnosed_class)
 
         monkeypatch.setattr(decision, "expected_class_disutility", counting)
-        meu_diagnosis(p, u, flat_kb(expansion))
-        assert sorted(priced) == classes
+        kb = flat_kb(expansion)
+        reads.clear()
+        dx = meu_diagnosis(p, u, kb)
+        assert sorted(reads) == sorted((expansion[d], c) for d in expansion for c in classes)
+        assert fallbacks == []
+        assert dx == reference_meu_diagnosis(p, u, kb)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))

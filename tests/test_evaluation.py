@@ -6,12 +6,13 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import random_kb, reference_permutation_test, reference_rating_pass
+from support import random_kb, reference_meu_diagnosis, reference_permutation_test, reference_rating_pass
 
 from uncertain_dx import evaluation
 from uncertain_dx.decision import UtilityMatrix, expected_class_disutility, max_belief_diagnosis, meu_diagnosis
@@ -265,28 +266,31 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25, 40])
     def test_sign_flips_are_byte_columns_of_each_draw(self, n):
-        """Byte i of column j is byte j, little-endian, of iteration i's
-        ``getrandbits(n)``, drawn from the RNG seeded (seed << 32) + i."""
+        """Byte k of column j is byte j, little-endian, of the k-th distinct
+        ``getrandbits(n)`` in draw order, iteration i's drawn from the RNG
+        seeded (seed << 32) + i."""
         iterations, seed = 1001, 5
-        columns = evaluation._sign_flips(n, iterations, seed)
-        assert len(columns) == -(-n // 8)
-        assert all(type(c) is bytes and len(c) == iterations for c in columns)
-        for i in range(iterations):
-            bits = random.Random((seed << 32) + i).getrandbits(n)
-            assert bytes(c[i] for c in columns) == bits.to_bytes(len(columns), "little")
+        draws = [random.Random((seed << 32) + i).getrandbits(n) for i in range(iterations)]
+        columns, counts = evaluation._flip_patterns(n, iterations, seed)
+        width = -(-n // 8)
+        assert len(columns) == width
+        assert all(type(c) is bytes and len(c) == len(counts) for c in columns)
+        first_seen = list(dict.fromkeys(draws))
+        assert [bytes(c[k] for c in columns) for k in range(len(counts))] == [
+            bits.to_bytes(width, "little") for bits in first_seen
+        ]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25, 40])
     def test_flip_patterns_count_each_distinct_draw(self, n):
-        """Each distinct draw once, as byte columns, with counts that add up
-        to the iterations and, repeated, give back the multiset of draws."""
+        """Each distinct draw once, with counts that add up to the iterations
+        and, repeated, give back the multiset of the RNGs' draws."""
         iterations, seed = 1001, 5
-        draws = list(zip(*evaluation._sign_flips(n, iterations, seed)))
+        draws = [random.Random((seed << 32) + i).getrandbits(n) for i in range(iterations)]
         columns, counts = evaluation._flip_patterns(n, iterations, seed)
-        assert len(columns) == -(-n // 8)
-        assert all(type(c) is bytes and len(c) == len(counts) for c in columns)
-        patterns = list(zip(*columns))
-        assert len(set(patterns)) == len(patterns)
+        patterns = [int.from_bytes(bytes(pattern), "little") for pattern in zip(*columns)]
+        assert len(set(patterns)) == len(patterns) == len(counts)
         assert sum(counts) == iterations and min(counts) >= 1
+        assert counts == tuple(map(draws.count, patterns))
         assert sorted(p for p, k in zip(patterns, counts) for _ in range(k)) == sorted(draws)
         if n <= 8:
             assert len(patterns) <= 2**n
@@ -689,7 +693,6 @@ class TestEvaluateMethods:
                 super().__init__(*args)
 
         monkeypatch.setattr(random, "Random", CountingRandom)
-        evaluation._sign_flips.cache_clear()
         evaluation._flip_patterns.cache_clear()
         report = self.run(fixture_kb, fixture_cases, fixture_utilities, iterations=1000)
         assert sum(r.test == "monte_carlo_permutation" for r in report.significance) == 6
@@ -702,9 +705,9 @@ def random_rating_pass_inputs(rng: random.Random):
     Classes are coarser than diseases, and a model may have just one.
     Micromorts mix 0.0, -0.0 and denormal entries with uniform ones, two
     classes may share one diagnosed column, so their prices tie, and one
-    entry may turn inf or NaN after validation.  Gold distributions omit
-    diseases, put their mass on one disease, carry -0.0 beliefs, or name a
-    disease outside the KB.
+    entry may turn inf or NaN after validation.  The expansion may leave
+    diseases unmapped.  Gold distributions omit diseases, put their mass on
+    one disease, carry -0.0 beliefs, or name a disease outside the KB.
     """
     base = random_kb(rng, rng.randint(1, 7), 1, max_values=2)
     classes = [f"k{i}" for i in range(rng.randint(1, min(4, len(base.diseases))))]
@@ -727,6 +730,9 @@ def random_rating_pass_inputs(rng: random.Random):
     outside = rng.random() < 0.1
     if outside:
         expansion["zz"] = rng.choice(classes)
+    if rng.random() < 0.3:  # diseases dropped from the expansion go unmapped
+        for d in rng.sample(sorted(expansion), rng.randint(1, len(expansion))):
+            del expansion[d]
     utilities = UtilityMatrix(classes=tuple(classes), class_disutility=table, expansion=expansion)
     if rng.random() < 0.2:
         # Changed after validation, as a caller holding the table can.
@@ -773,6 +779,14 @@ def rating_rules(inferred, other_source: str) -> dict[str, tuple[str, bool]]:
     return rules
 
 
+def decision_outcome(decide, *args):
+    """A decision rule's diagnosis, or the type and message it raised."""
+    try:
+        return decide(*args)
+    except Exception as exc:  # any error is an outcome to compare
+        return type(exc), str(exc)
+
+
 def rating_outcome(rate, *args):
     """A rating pass's result with every float as ``float.hex``, or the type and message it raised."""
     try:
@@ -812,12 +826,33 @@ class TestRatingPass:
             outside += "zz" in utilities.expansion
             for case, _ in inferred:
                 p = case.gold(gold_source)
+                if not p.beliefs.keys() <= utilities.expansion.keys():
+                    continue
                 prices = [expected_class_disutility(p, utilities, c) for c in set(utilities.expansion.values())]
                 zero_prices += 0.0 in prices
                 ties += len(set(prices)) < len(prices)
         non_finite = sum(not all(map(math.isfinite, u.class_disutility.values())) for _, u, *_ in draws)
+        unmapped = sum(outcome[0] is UnmappedDisease for outcome in outcomes)
         raised = sum(isinstance(outcome[0], type) for outcome in outcomes)
-        assert min(ties, zero_prices, single_class, outside, non_finite, raised) > 10
+        assert min(ties, zero_prices, single_class, outside, non_finite, unmapped, raised - unmapped) > 10
+
+    def test_meu_diagnosis_matches_the_scan_reference(self):
+        """``meu_diagnosis`` against the per-candidate scan it replaced on every
+        distribution of random rating-pass draws, unmapped diseases and
+        non-finite tables among them: the same id, or the same error class
+        and message, on over 40,000 decisions, over 10,000 of which raise."""
+        rng = random.Random(20)
+        outcomes = []
+        while len(outcomes) < 40_000:
+            kb, utilities, gold_source, inferred, _ = random_rating_pass_inputs(rng)
+            for case, dists in inferred:
+                for p in (case.gold(gold_source), *filter(None, dists.values())):
+                    expected = decision_outcome(reference_meu_diagnosis, p, utilities, kb)
+                    assert decision_outcome(meu_diagnosis, p, utilities, kb) == expected
+                    outcomes.append(expected)
+        errors = Counter(outcome[0] for outcome in outcomes if isinstance(outcome, tuple))
+        assert sum(errors.values()) >= 10_000
+        assert min(errors[UnmappedDisease], errors[ValueError]) > 100
 
     def test_reference_agrees_on_the_fixture(self, fixture_kb, fixture_cases, fixture_utilities):
         for gold_source in GOLD_SOURCES:
