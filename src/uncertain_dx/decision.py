@@ -130,9 +130,9 @@ def _meu_pricer(utilities: UtilityMatrix, kb: KnowledgeBase) -> Callable:
     pick, each class's expected disutility under p).
 
     A class's column U(class(d), c) over the KB's diseases d prices p in one
-    ``fsum``, adding 0.0 * u per disease p omits, so only a zero's sign or a
-    non-finite sum can differ from ``expected_class_disutility``, which
-    prices those and distributions outside the KB.
+    ``fsum``, adding 0.0 * u per disease p omits, so only a non-finite sum
+    can differ from ``expected_class_disutility``, which prices those and
+    distributions outside the KB.
     """
     ids = sorted(kb.disease_index)
     if not kb.disease_index.keys() <= utilities.expansion.keys():
@@ -148,7 +148,7 @@ def _meu_pricer(utilities: UtilityMatrix, kb: KnowledgeBase) -> Callable:
         vector = list(map(p.beliefs.get, ids, repeat(0.0))) if in_kb else [math.nan] * len(ids)
         priced = {c: math.fsum(map(operator.mul, vector, column)) for c, column in columns.items()}
         for c, value in priced.items():
-            if not 0.0 < value < math.inf:
+            if not math.isfinite(value):
                 priced[c] = expected_class_disutility(p, utilities, c)
         best = min(filter(math.inf.__gt__, priced.values()), default=None)
         if best is None:

@@ -17,15 +17,16 @@ Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
 once, at normalization.  A calculus's term for one finding depends only
 on the knowledge base, so it is compiled once per (knowledge base,
-calculus, finding) from the p(obs | d) row, which the calculi share, and
-memoized on the knowledge base under the observation, as are the prior
-terms.  A call is then a few C-level passes: one memo lookup per
-observation, one set of their features, one fsum per disease column and
-one normalization; only findings not yet compiled are checked in Python.
-That is O(D*O) for D diseases and O observations, with no table reads once
-its findings are compiled.  Results and errors are the same as from
-checking every observation and recomputing every term.  All functions are
-safe to call concurrently on shared knowledge bases.
+calculus, finding) from its p(obs | d) vector in ``KnowledgeBase.vectors``,
+which the calculi share, and memoized on the knowledge base under the
+observation, as are the prior terms.  A call is then a few C-level passes:
+one memo lookup per observation, one set of their features, one fsum per
+disease column and one normalization; only findings not yet compiled are
+checked in Python.  That is O(D*O) for D diseases and O observations, and
+reads no table: the knowledge base read it on construction.  Results and
+errors are the same as from checking every observation and recomputing
+every term.  All functions are safe to call concurrently on shared
+knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -46,7 +47,7 @@ from .errors import (
     UnknownDisease,
     ZeroMarginal,
 )
-from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation, _vectors
+from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
@@ -61,20 +62,10 @@ def _check_all(kb: KnowledgeBase, observations: Sequence[Observation]) -> None:
         _check_observation(kb, obs, seen)
 
 
-def _row(kb: KnowledgeBase, obs: Observation) -> tuple:
-    """The p(obs | d) row, one entry per disease, that the calculi compile their
-    terms from: read on first use, after checking ``obs``, and memoized.  A
-    loaded table gives its vector for ``obs``; a code-built one, D entries."""
-    rows = kb.compiled_terms["row"]
-    row = rows.get(obs)
-    if row is None:
-        _check_observation(kb, obs, set())
-        entries, vectors = kb.conditionals.entries, _vectors(kb)
-        row = rows[obs] = tuple(
-            vectors[obs.feature][obs.value] if vectors is not None
-            else [entries[(obs.feature, obs.value, d.id)] for d in kb.diseases]
-        )
-    return row
+def _row(kb: KnowledgeBase, obs: Observation) -> list[float]:
+    """The p(obs | d) vector, one entry per disease, that terms compile from; checks ``obs`` first."""
+    _check_observation(kb, obs, set())
+    return kb.vectors[obs.feature][obs.value]
 
 
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
@@ -83,7 +74,7 @@ def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observati
     knowledge base.  A memoized finding was checked when compiled; a repeated
     feature checks every observation in order, and otherwise ``_row`` checks
     the misses in order, all before any is compiled.  A compile error memoizes
-    only the row."""
+    nothing."""
     memo = kb.compiled_terms[calculus]
     try:
         found = list(map(memo.get, observations))
@@ -284,10 +275,9 @@ def barnett_combine(masses: Iterable[float]) -> float:
 
     Evaluated through logs so that long streams of small masses keep
     full precision; a mass of 1 is absorbing exactly, and a mass of 0
-    leaves the combination exactly unchanged.
+    leaves the combination exactly unchanged, so no evidence gives 0.0.
     """
-    terms = _log_complements(masses)
-    return 1.0 if -math.inf in terms else -math.expm1(math.fsum(terms))
+    return -math.expm1(math.fsum(_log_complements(masses))) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def naive_dempster_shafer(

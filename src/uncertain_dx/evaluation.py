@@ -27,7 +27,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
-from statistics import NormalDist
 from typing import Collection, Sequence
 
 from . import engine
@@ -215,7 +214,7 @@ def weighted_mean_sd(values: Sequence[float], weights: Sequence[CaseWeight]) -> 
     shift = 600 if max(abs(v - mean) for v in values) >= 2.0**511 else 0
     deviations = (math.ldexp(v - mean, -shift) for v in values)
     variance = math.fsum(w.weight * (d * d) for d, w in zip(deviations, weights))
-    return mean, math.ldexp(math.sqrt(max(variance, 0.0)), shift)
+    return mean, math.ldexp(math.sqrt(variance), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def _rank_sum_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
     if variance <= 0.0:
         return w, 0.5  # all observations tied; the statistic sits at its mean
     z = (w - mean) / math.sqrt(variance)
-    return w, 1.0 - NormalDist().cdf(z)
+    return w, 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))  # 1 - NormalDist().cdf(z), bit for bit
 
 
 def wilcoxon_rank_test(a: Sequence[float], b: Sequence[float]) -> float:

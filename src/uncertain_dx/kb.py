@@ -9,14 +9,13 @@ violation raises ``ValidationError``.  Case records pair observation sets
 with optional gold standards, one per ``GOLD_SOURCES`` name, and ratings.
 
 Everything in this module is immutable after load and safe to share
-across threads.  ``KnowledgeBase.compiled_terms``, the engine's memos, is
-a cache whose entries do not depend on the order they are filled in, so
-sharing stays safe.  An ``Observation`` is a named tuple, equal to its
-``(feature, value)`` tuple, and keys those memos itself.  A loaded table's
-``entries`` are a read-only ``Mapping`` over one vector per (feature, value),
-iterated by feature, disease, then value, in the knowledge base's order.
-Changing a code-built table's dict after the first inference is
-unsupported; build a new one with ``dataclasses.replace``.
+across threads.  A ``KnowledgeBase`` reads its table once, on construction,
+into the ``vectors`` that validation and the engine read; a loaded table's
+``entries`` are a read-only ``Mapping`` over its own vectors.  Changing a
+code-built dict afterwards is unsupported; build a new knowledge base with
+``dataclasses.replace``.  ``KnowledgeBase.compiled_terms``, the engine's
+memos, fill in any order, so sharing stays safe.  An ``Observation`` is a
+named tuple, equal to its ``(feature, value)`` tuple, and keys those memos.
 
 File formats (UTF-8 JSON):
 
@@ -45,7 +44,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product, repeat
+from itertools import chain, product, repeat, starmap
 from operator import sub
 from typing import IO, Mapping, NamedTuple, Sequence
 
@@ -152,11 +151,22 @@ class KnowledgeBase:
         return {f.id: f for f in self.features}
 
     @cached_property
+    def vectors(self) -> dict[str, dict[str, list]]:
+        """``vectors[feature][value]``: p(feature=value | d) per disease, in ``diseases`` order,
+        built on construction.  A table loaded for these diseases and features gives its
+        own vectors; any other is read with one ``entries.get`` per slot, None if missing."""
+        entries = self.conditionals.entries
+        if isinstance(entries, _LoadedEntries) and entries.layout == (self.diseases, self.features):
+            return entries.vectors
+        ids = [d.id for d in self.diseases]
+        return {f.id: {v: list(map(entries.get, product((f.id,), (v,), ids))) for v in f.values}
+                for f in self.features}
+
+    @cached_property
     def compiled_terms(self) -> dict[str, dict]:
-        """The engine's memos, held apart: "row" and each calculus in ``CALCULI``
-        map an observation to its p(obs | d) row or its terms, one per disease,
-        and "prior" maps a calculus to its prior terms."""
-        return {key: {} for key in ("row", "prior", *CALCULI)}
+        """The engine's memos: each calculus in ``CALCULI`` maps an observation to its
+        terms, one per disease, and "prior" maps a calculus to its prior terms."""
+        return {key: {} for key in ("prior", *CALCULI)}
 
     def prior(self, disease_id: str) -> float:
         return self.disease_index[disease_id].prior
@@ -274,24 +284,25 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
         if len(set(f.values)) != len(f.values):
             violations.append(f"feature '{f.id}': duplicate value ids")
 
-    if violations or (vectors := _vectors(kb)) is None or not all(map(_holds, vectors.values())):
+    if violations or not _holds(kb):
         violations.extend(_table_violations(kb.features, [d.id for d in kb.diseases], kb.conditionals.entries))
     return violations
 
 
-def _vectors(kb: KnowledgeBase) -> dict | None:
-    """The vectors of a table loaded for ``kb``'s diseases and features, else None."""
-    entries = kb.conditionals.entries
-    fits = isinstance(entries, _LoadedEntries) and entries.layout == (kb.diseases, kb.features)
-    return entries.vectors if fits else None
-
-
-def _holds(by_value: dict) -> bool:
-    """The dense-table rule on one feature's loaded vectors in C-level passes: entries
-    in [0, 1], and each disease's row, fsummed as ``_table_violations`` does, near 1."""
-    columns = by_value.values()
-    return (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0
-            and max(map(abs, map(sub, map(math.fsum, zip(*columns)), repeat(1.0)))) <= PROB_SUM_TOL)
+def _holds(kb: KnowledgeBase) -> bool:
+    """The dense-table rule over ``kb.vectors`` in three C-level passes: one entry per
+    slot, each in [0, 1], and each (feature, disease) row's fsum near 1.  A missing
+    entry, None, fails to compare.  A column starting with NaN hides the rest from
+    ``min`` and ``max``, but the NaN's row is summed first and fails."""
+    by_feature = kb.vectors.values()
+    columns = [column for by_value in by_feature for column in by_value.values()]
+    sums = map(math.fsum, chain.from_iterable(starmap(zip, map(dict.values, by_feature))))
+    try:
+        return (len(kb.conditionals.entries) == len(kb.diseases) * len(columns)
+                and 0.0 <= min(map(min, columns), default=0.0) and max(map(max, columns), default=0.0) <= 1.0
+                and all(map(PROB_SUM_TOL.__ge__, map(abs, map(sub, sums, repeat(1.0))))))
+    except TypeError:
+        return False
 
 
 def _table_violations(
@@ -299,17 +310,14 @@ def _table_violations(
     disease_ids: Sequence[str],
     entries: Mapping[tuple[str, str, str], float],
 ) -> list[str]:
-    """The dense-table rule: every entry names a known feature, value and
-    disease and lies in [0, 1], and every (feature, disease) row is complete
-    and sums to 1.  Entries are named one by one only if some breaks the rule."""
+    """The dense-table rule entry by entry, naming every fault: every entry names
+    a known feature, value and disease and lies in [0, 1], and every (feature,
+    disease) row is complete and sums to 1."""
     rows: list[str] = []
-    found = 0  # entries read by the row checks; a repeated id would read one twice
-    unique = len(set(disease_ids)) == len(disease_ids) and len({f.id for f in features}) == len(features)
     for f in features:
-        table = list(map(entries.get, product((f.id,), f.values, disease_ids)))
         if len(set(f.values)) != len(f.values):
             continue
-        found += len(table) - table.count(None)
+        table = list(map(entries.get, product((f.id,), f.values, disease_ids)))
         for i, dis in enumerate(disease_ids):
             row = table[i :: len(disease_ids)]
             if None in row:
@@ -317,19 +325,18 @@ def _table_violations(
             elif abs((s := _fsum(row)) - 1.0) > PROB_SUM_TOL:
                 rows.append(f"conditional row ({f.id}, {dis}): sums to {s!r}, expected 1")
     violations: list[str] = []
-    if not (unique and found == len(entries) and all(0.0 <= p <= 1.0 for p in entries.values())):
-        valid_values = {f.id: set(f.values) for f in features}
-        known_diseases = set(disease_ids)
-        for (feat, value, dis), p in entries.items():
-            if feat not in valid_values:
-                violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
-                continue
-            if value not in valid_values[feat]:
-                violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
-            if dis not in known_diseases:
-                violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
-            if not 0.0 <= p <= 1.0:
-                violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
+    valid_values = {f.id: set(f.values) for f in features}
+    known_diseases = set(disease_ids)
+    for (feat, value, dis), p in entries.items():
+        if feat not in valid_values:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown feature")
+            continue
+        if value not in valid_values[feat]:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown value")
+        if dis not in known_diseases:
+            violations.append(f"conditional ({feat}, {value}, {dis}): unknown disease")
+        if not 0.0 <= p <= 1.0:
+            violations.append(f"conditional ({feat}, {value}, {dis}): probability {p} outside [0, 1]")
     return violations + rows
 
 

@@ -68,3 +68,12 @@ def test_runs_on_the_standard_library_alone():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_importing_the_cli_loads_no_statistics_module():
+    """The rank test's normal tail is computed with ``math.erf``, so starting
+    the command line does not pay for importing ``statistics``."""
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import uncertain_dx.cli; print('statistics' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

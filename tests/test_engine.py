@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import pytest
@@ -310,6 +311,14 @@ class TestCfParallelCombine:
         values = [0.3, 0.6, 0.123456]
         assert barnett_combine(values + [0.0]) == barnett_combine(values)
 
+    @pytest.mark.parametrize("masses", [[], [0.0], [0.0, 0.0]], ids=["empty", "one-zero", "two-zeros"])
+    def test_barnett_combine_of_no_evidence_is_positive_zero(self, masses):
+        assert math.copysign(1.0, barnett_combine(masses)) == 1.0
+
+    @pytest.mark.parametrize("masses", [[1.0], [0.3, 1.0, 0.2], [0.0, 1.5]], ids=["one", "among-others", "above-one"])
+    def test_barnett_combine_mass_of_one_absorbs_exactly(self, masses):
+        assert barnett_combine(masses) == 1.0
+
 
 class TestCrossMethodProperties:
     @settings(max_examples=60, deadline=None)
@@ -388,13 +397,19 @@ class TestPeakedness:
 
 
 class _CountingEntries(dict):
+    """A dict that counts the reads of each key, through ``get`` and indexing."""
+
     def __init__(self, *args):
         super().__init__(*args)
-        self.lookups = 0
+        self.reads = Counter()
 
     def __getitem__(self, key):
-        self.lookups += 1
+        self.reads[key] += 1
         return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
 
 
 def all_three_calculi(kb, observations):
@@ -403,21 +418,21 @@ def all_three_calculi(kb, observations):
 
 @pytest.mark.parametrize("method", [simple_bayes, odds_likelihood, naive_dempster_shafer, all_three_calculi])
 def test_each_likelihood_read_once(method):
-    """Every calculus reads p(obs | d) exactly once per (observation,
-    disease) pair, so a case costs O(D*O) table reads, not O(D^2*O); the
-    three calculi share the rows they read."""
+    """Constructing a knowledge base reads each p(feature=value | d) exactly
+    once, into the vectors every calculus shares, so inference reads no
+    table entry: not on a first call, not on a repeated one."""
     rng = random.Random(3)
     kb = random_kb(rng, n_diseases=12, n_features=9)
     entries = _CountingEntries(kb.conditionals.entries)
     kb = replace(kb, conditionals=ConditionalTable(entries))
+    assert entries.reads == Counter(dict.fromkeys(entries, 1))
+    assert len(entries) == 12 * sum(len(f.values) for f in kb.features)
     observations = random_observations(rng, kb, 7)
-    entries.lookups = 0
+    entries.reads.clear()
     first = method(kb, observations)
-    assert entries.lookups == 12 * 7
-    # Each finding's terms are compiled once per knowledge base.
-    entries.lookups = 0
+    assert not entries.reads
     assert method(kb, list(reversed(observations))) == first
-    assert entries.lookups == 0
+    assert not entries.reads
 
 
 def table_kb(priors, tables):
@@ -530,18 +545,40 @@ def test_edge_paths_match_exact_oracles(case, method, oracle):
 )
 def test_memoized_failure_raises_again(method, case, error):
     """An error met while compiling a finding's terms is raised on every
-    call that reaches it, with the same message, without reading the table
-    again: the finding's row is memoized, the failure is not."""
+    call that reaches it, with the same message, reading no table entry:
+    the table was read at construction, and the failure is not memoized."""
     kb, observations = case()
     entries = _CountingEntries(kb.conditionals.entries)
     kb = replace(kb, conditionals=ConditionalTable(entries))
     with pytest.raises(error) as first:
         method(kb, observations)
-    entries.lookups = 0
+    entries.reads.clear()
     with pytest.raises(error) as second:
         method(kb, observations)
     assert str(second.value) == str(first.value)
-    assert entries.lookups == 0
+    assert not entries.reads
+
+
+@dataclass
+class _MutableObservation:
+    """Observation-like, but unhashable: no memo can look it up."""
+
+    feature: str
+    value: str
+
+
+@pytest.mark.parametrize("method", [simple_bayes, odds_likelihood, naive_dempster_shafer])
+def test_unhashable_observation_raises_after_the_full_check(method):
+    """An unhashable observation of a known finding raises TypeError, but only
+    once every observation is checked: an unknown one after it raises first."""
+    kb, _ = EDGE_CASES["zero-likelihood-rules-out"]()
+    unhashable = _MutableObservation("f0", "v0")
+    with pytest.raises(TypeError) as raised:
+        method(kb, [unhashable])
+    assert str(raised.value) == "unhashable type: '_MutableObservation'"
+    with pytest.raises(UnknownObservation) as raised:
+        method(kb, [unhashable, Observation("nope", "v0")])
+    assert str(raised.value) == "unknown feature 'nope'"
 
 
 def _outcome(compute, *args):

@@ -23,6 +23,7 @@ from uncertain_dx.errors import (
     UncertainDxError,
     MissingRatings,
     MissingTrueDiagnosis,
+    UnknownDisease,
     UnknownObservation,
     UnmappedDisease,
     ValidationError,
@@ -118,6 +119,11 @@ class TestExpectedDisutility:
         p = dist(va=0.4, csd=0.35, sh=0.25)
         assert expected_disutility(p, zero_diag, "csd", fixture_kb) == 0.0
 
+    def test_unknown_diagnosis_rejected(self):
+        with pytest.raises(UnknownDisease) as raised:
+            expected_disutility(dist(benign=1.0), BENIGN_LETHAL, "nope", BL_KB)
+        assert str(raised.value) == "unknown diagnosis 'nope'"
+
 
 class TestCaseWeights:
     def make_cases(self, *true_ids):
@@ -150,6 +156,12 @@ class TestCaseWeights:
         (w,) = case_weights(self.make_cases("benign"), BL_KB)
         assert w.weight == 1.0
 
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan])
+    def test_weight_outside_unit_interval_rejected(self, weight):
+        with pytest.raises(ValueError) as raised:
+            CaseWeight("c0", weight)
+        assert str(raised.value) == f"weight for 'c0' outside [0, 1]: {weight!r}"
+
     def test_missing_true_diagnosis(self):
         with pytest.raises(MissingTrueDiagnosis, match="c0"):
             case_weights([CaseRecord(id="c0", observations=())], BL_KB)
@@ -176,6 +188,11 @@ class TestWeightedMeanSd:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
             weighted_mean_sd([1.0], uniform_weights(2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            weighted_mean_sd([], [])
+        assert str(raised.value) == "empty sample"
 
     def test_weights_not_summing_to_one_rejected(self):
         """Eight weights of 1 would overflow the deviation scaling, which
@@ -258,6 +275,11 @@ class TestPermutationTest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             permutation_test([], [], iterations=1000, seed=0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError) as raised:
+            permutation_test([1.0], uniform_weights(2), iterations=1000, seed=0)
+        assert str(raised.value) == "1 diffs but 2 weights"
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_diffs_rejected(self, bad):

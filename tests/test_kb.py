@@ -452,6 +452,52 @@ class TestValidateKb:
             features, disease_ids, entries
         )
 
+    @settings(max_examples=500, deadline=None)
+    @given(tables())
+    def test_code_built_table_is_judged_as_the_entry_by_entry_reference(self, table):
+        """A knowledge base built in code on any table, with NaN, infinite,
+        missing or stray entries, carries exactly the reference's table violations."""
+        features, disease_ids, entries = table
+        diseases = tuple(Disease(d, d, 1.0 / len(disease_ids), "c") for d in disease_ids)
+        try:
+            KnowledgeBase(diseases, features, ConditionalTable(entries))
+            violations = []
+        except ValidationError as exc:
+            violations = exc.violations
+        table_violations = [v for v in violations if v.startswith("conditional")]
+        assert table_violations == reference_table_violations(features, disease_ids, entries)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.5, -0.5), (0.2, 0.8)],
+            [(1 + 5e-10, 0.0), (0.2, 0.8)],
+            [(-5e-10, 1.0), (0.2, 0.8)],
+            [(math.nan, 1.0), (0.2, 0.8)],
+            [(0.2, 0.8), (1.0, math.nan)],
+            # A column that starts with NaN hides the rest from min and max,
+            # here an infinity of each sign, an overflowing row and 1.5.
+            [(0.5, math.nan, math.nan), (0.0, math.inf, -math.inf)],
+            [(0.5, math.nan, math.nan), (0.0, 1e308, 1e308)],
+            [(0.5, math.nan, 0.5), (0.0, 1.5, 0.0)],
+        ],
+        ids=["sums-to-one", "just-above-one", "just-below-zero", "nan", "nan-last", "nan-hides-infinities",
+             "nan-hides-overflow", "nan-hides-above-one"],
+    )
+    def test_each_bad_entry_is_named_as_the_reference_does(self, rows):
+        diseases = tuple(Disease(f"d{i}", f"d{i}", 0.5, "c") for i in range(2))
+        values = tuple(f"v{j}" for j in range(len(rows[0])))
+        features = (Feature("f1", "f1", values),)
+        entries = {("f1", v, d.id): p for d, row in zip(diseases, rows) for v, p in zip(values, row)}
+        with pytest.raises(ValidationError) as raised:
+            KnowledgeBase(diseases, features, ConditionalTable(entries))
+        assert raised.value.violations == reference_table_violations(features, ["d0", "d1"], entries)
+
+    @pytest.mark.parametrize("entry", ["0.8", None, [0.8]], ids=["string", "none", "list"])
+    def test_non_numeric_entry_raises_type_error(self, entry):
+        with pytest.raises(TypeError):
+            build_kb([0.5, 0.5], [[entry, 0.2], [0.2, 0.8]])
+
     @settings(max_examples=50, deadline=None)
     @given(knowledge_bases())
     def test_serialize_load_round_trip(self, kb):
