@@ -15,39 +15,35 @@ probabilities p(feature=value | disease).
 
 Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
-once, at normalization.  A calculus's term for one finding depends only
-on the knowledge base, so it is compiled once per (knowledge base,
-calculus, finding) from its p(obs | d) vector in ``KnowledgeBase.vectors``,
-which the calculi share, and memoized on the knowledge base under the
-observation, as are the prior terms.  A call is then a few C-level passes:
-one memo lookup per observation, one set of their features, one fsum per
-disease column and one normalization; only findings not yet compiled are
-checked in Python.  That is O(D*O) for D diseases and O observations, and
-reads no table: the knowledge base read it on construction.  Results and
-errors are the same as from checking every observation and recomputing
-every term.  All functions are safe to call concurrently on shared
-knowledge bases.
+once, at normalization.  Each calculus compiles, then combines.  A
+finding's terms, one per disease, depend only on the knowledge base, so
+they are compiled once per (knowledge base, calculus, finding) from its
+p(obs | d) vector in ``KnowledgeBase.vectors`` and memoized on the
+knowledge base, as are the prior terms.  Combining maps each disease
+column's fsum to a distribution.  A call is a few C-level passes, O(D*O)
+for D diseases and O observations; only findings not yet compiled are
+checked in Python.  ``_prefixes`` gives the result on every prefix of an
+observation list, also in O(D*O): its exact integer running sums round as
+fsum does.  Results and errors are the same as from checking every
+observation and recomputing every term.  Results, normalized by
+construction, skip the checks a distribution read from a file gets.  All
+functions are safe to call concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
-ZeroMarginal, EmptyEvidence, UnknownDisease and DegeneratePrior.
+ZeroMarginal, EmptyEvidence, UnknownDisease and DegeneratePrior, and
+``barnett_combine``'s ValueError for a mass outside [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import attrgetter, is_, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    AllHypothesesRuledOut,
-    DegeneratePrior,
-    EmptyEvidence,
-    UnknownDisease,
-    ZeroMarginal,
-)
-from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation
+from .errors import AllHypothesesRuledOut, DegeneratePrior, EmptyEvidence, UnknownDisease, ZeroMarginal
+from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_observation, _exact_integers
 
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
@@ -104,9 +100,7 @@ def _evoking(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> list[
     weighted = [d.prior * p for d, p in zip(kb.diseases, row)]
     z = math.fsum(weighted)
     if z <= 0.0:
-        raise ZeroMarginal(
-            f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability"
-        )
+        raise ZeroMarginal(f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability")
     return [w / z for w in weighted]
 
 
@@ -157,13 +151,16 @@ def _prior_log_odds(prior: float) -> float:
 
 # Each calculus's term compiler, found by name, so CALCULI alone sets the keys and their order.
 _COMPILE: dict[str, Callable] = {name: globals()[f"_{name}_terms"] for name in CALCULI}
+# Each calculus's term of a disease's prior; naive Dempster-Shafer's priors carry no mass, log(1 - 0).
+_PRIOR_TERM: dict[str, Callable] = {"simple_bayes": _log, "odds_likelihood": _prior_log_odds,
+                                    "naive_dempster_shafer": lambda prior: 0.0}
 
 
-def _priors(kb: KnowledgeBase, calculus: str, term: Callable[[float], float]) -> tuple:
-    """``term`` of each disease's prior, computed on first use and memoized."""
+def _priors(kb: KnowledgeBase, calculus: str) -> tuple:
+    """``calculus``'s term of each disease's prior, computed on first use and memoized."""
     memo = kb.compiled_terms["prior"]
     if calculus not in memo:
-        memo[calculus] = tuple([term(d.prior) for d in kb.diseases])
+        memo[calculus] = tuple(map(_PRIOR_TERM[calculus], [d.prior for d in kb.diseases]))
     return memo[calculus]
 
 
@@ -177,6 +174,36 @@ def _column_sums(*terms: Sequence[float]) -> list[float]:
         return [-math.inf if -math.inf in column else math.fsum(column) for column in zip(*terms)]
 
 
+def _prefix_sums(terms: Sequence[Sequence[float]]) -> list[tuple]:
+    """``_column_sums(*terms[:k])`` for k = 1..len(terms): a column's finite terms are integers
+    over one denominator, so one int / int per step rounds each running sum as fsum does.
+    Running counts of infinities keep ``_column_sums``' rule: any -inf, else any +inf."""
+    columns = []
+    for column in zip(*terms):
+        ints, denominator = _exact_integers([t if -math.inf < t < math.inf else 0.0 for t in column])
+        sums = list(map(truediv, accumulate(ints), repeat(denominator)))
+        if math.inf in column or -math.inf in column:
+            lows, highs = accumulate(map((-math.inf).__eq__, column)), accumulate(map(math.inf.__eq__, column))
+            sums = [-math.inf if low else math.inf if high else s for s, low, high in zip(sums, lows, highs)]
+        columns.append(sums)
+    return list(zip(*columns))
+
+
+def _distribution(kb: KnowledgeBase, beliefs: Iterable[float], pre_norm_sum: float, method: str) -> BeliefDistribution:
+    """A calculus's result, normalized by construction, so without ``BeliefDistribution``'s checks."""
+    dist = object.__new__(BeliefDistribution)
+    vars(dist).update(beliefs=dict(zip(kb.disease_index, beliefs)), pre_norm_sum=pre_norm_sum, method=method)
+    return dist
+
+
+def _simple_bayes_combine(kb: KnowledgeBase, log_mass: Sequence[float]) -> BeliefDistribution:
+    peak = max(log_mass)
+    if peak == -math.inf:
+        raise AllHypothesesRuledOut("every disease has zero posterior mass")
+    unnorm = list(map(math.exp, map(sub, log_mass, repeat(peak))))
+    return _distribution(kb, map(truediv, unnorm, repeat(math.fsum(unnorm))), 1.0, "simple_bayes")
+
+
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Posterior over diseases assuming evidence independent given disease.
 
@@ -186,17 +213,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
     pre_norm_sum is 1 by construction.
     """
     terms = _compiled(kb, "simple_bayes", observations)
-    log_mass = _column_sums(_priors(kb, "simple_bayes", _log), *terms)
-    peak = max(log_mass)
-    if peak == -math.inf:
-        raise AllHypothesesRuledOut("every disease has zero posterior mass")
-    unnorm = list(map(math.exp, map(sub, log_mass, repeat(peak))))
-    z = math.fsum(unnorm)
-    return BeliefDistribution(
-        beliefs=dict(zip(kb.disease_index, map(truediv, unnorm, repeat(z)))),
-        pre_norm_sum=1.0,
-        method="simple_bayes",
-    )
+    return _simple_bayes_combine(kb, _column_sums(_priors(kb, "simple_bayes"), *terms))
 
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
@@ -219,6 +236,20 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
     return _negation(_marginal(kb, row), p, disease.prior)
 
 
+def _odds_likelihood_combine(kb: KnowledgeBase, log_odds: Sequence[float]) -> BeliefDistribution:
+    # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
+    pre_norm = list(map(_sigmoid, log_odds))
+    pre_norm_sum = math.fsum(pre_norm)
+    ruled_in = log_odds.count(math.inf)
+    if ruled_in:
+        beliefs = [1.0 / ruled_in if lo == math.inf else 0.0 for lo in log_odds]
+    elif pre_norm_sum > 0.0:
+        beliefs = map(truediv, pre_norm, repeat(pre_norm_sum))
+    else:
+        raise AllHypothesesRuledOut("every disease has zero posterior odds")
+    return _distribution(kb, beliefs, pre_norm_sum, "odds_likelihood")
+
+
 def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Odds-form updating with independence assumed on disease negations.
 
@@ -235,19 +266,7 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     renormalized mass equally and every finite disease gets 0.
     """
     terms = _compiled(kb, "odds_likelihood", observations)
-    log_odds = _column_sums(_priors(kb, "odds_likelihood", _prior_log_odds), *terms)
-    # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
-    pre_norm = list(map(_sigmoid, log_odds))
-    pre_norm_sum = math.fsum(pre_norm)
-    ruled_in = log_odds.count(math.inf)
-    if ruled_in:
-        share = 1.0 / ruled_in
-        beliefs = {d: (share if lo == math.inf else 0.0) for d, lo in zip(kb.disease_index, log_odds)}
-    elif pre_norm_sum > 0.0:
-        beliefs = dict(zip(kb.disease_index, map(truediv, pre_norm, repeat(pre_norm_sum))))
-    else:
-        raise AllHypothesesRuledOut("every disease has zero posterior odds")
-    return BeliefDistribution(beliefs=beliefs, pre_norm_sum=pre_norm_sum, method="odds_likelihood")
+    return _odds_likelihood_combine(kb, _column_sums(_priors(kb, "odds_likelihood"), *terms))
 
 
 def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
@@ -276,13 +295,24 @@ def barnett_combine(masses: Iterable[float]) -> float:
     Evaluated through logs so that long streams of small masses keep
     full precision; a mass of 1 is absorbing exactly, and a mass of 0
     leaves the combination exactly unchanged, so no evidence gives 0.0.
+    A mass outside [0, 1], NaN among them, raises ValueError.
     """
+    masses = list(masses)
+    if not all(0.0 <= m <= 1.0 for m in masses):
+        raise ValueError("masses must lie in [0, 1]")
     return -math.expm1(math.fsum(_log_complements(masses))) + 0.0  # -0.0 + 0.0 is 0.0
 
 
-def naive_dempster_shafer(
-    kb: KnowledgeBase, observations: Sequence[Observation]
-) -> BeliefDistribution:
+def _naive_dempster_shafer_combine(kb: KnowledgeBase, log_rest: Sequence[float]) -> BeliefDistribution:
+    # from_unnormalized of 1 - prod(1 - m) per disease, from the log complements; -expm1(-inf) is 1.
+    raw = list(map(neg, map(math.expm1, log_rest)))
+    total = math.fsum(raw)
+    if total <= 0.0:
+        raise AllHypothesesRuledOut("all hypotheses have zero belief")
+    return _distribution(kb, [v / total + 0.0 for v in raw], total, "naive_dempster_shafer")  # -0.0 + 0.0 is 0.0
+
+
+def naive_dempster_shafer(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Belief per disease from combining evoking strengths across observations.
 
     Bel(d) = 1 - prod over observations of (1 - ES(d, obs)), renormalized
@@ -292,7 +322,14 @@ def naive_dempster_shafer(
     """
     if not observations:
         raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
-    # 1 - prod(1 - m) per disease from the log complements; -expm1(-inf) is exactly 1.
-    log_rest = _column_sums(*_compiled(kb, "naive_dempster_shafer", observations))
-    raw = dict(zip(kb.disease_index, map(neg, map(math.expm1, log_rest))))
-    return BeliefDistribution.from_unnormalized(raw, method="naive_dempster_shafer")
+    terms = _compiled(kb, "naive_dempster_shafer", observations)
+    return _naive_dempster_shafer_combine(kb, _column_sums(_priors(kb, "naive_dempster_shafer"), *terms))
+
+
+def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[BeliefDistribution]:
+    """``calculus`` on ``observations[:n]`` for n = 1..len(observations), in O(D*n): each
+    observation is checked and compiled once, all before any prefix is combined, and
+    ``_prefix_sums`` gives every prefix's column sums."""
+    compiled = _compiled(kb, calculus, observations)
+    combine = globals()[f"_{calculus}_combine"]
+    return [combine(kb, sums) for sums in _prefix_sums([_priors(kb, calculus), *compiled])[1:]]

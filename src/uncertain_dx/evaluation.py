@@ -45,7 +45,7 @@ from .errors import (
     UnknownDisease,
     ValidationError,
 )
-from .kb import CALCULI, GOLD_SOURCES, PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase
+from .kb import CALCULI, GOLD_SOURCES, PROB_SUM_TOL, BeliefDistribution, CaseRecord, KnowledgeBase, _exact_integers
 
 # Each evaluated method in presentation order: (report label, calculus that
 # produces its distribution, whether it diagnoses by minimum expected
@@ -276,9 +276,7 @@ def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[l
     round-half-even rounds to ``observed`` only when its last significand
     bit is 0.  Table j holds U over the 256 patterns of bits 8j..8j+7.
     """
-    ratios = [v.as_integer_ratio() for v in weighted]
-    denominator = max(d for _, d in ratios)
-    terms = [n * (denominator // d) for n, d in ratios]
+    terms, denominator = _exact_integers(weighted)
 
     below = math.nextafter(observed, -math.inf)
     # Below the most negative float, rounding behaves as if the next value were -2**1024.

@@ -352,6 +352,13 @@ def _fsum(values: Sequence[float]) -> float:
         return sum(special) if special else (math.inf if sum(map(Fraction, values)) >= 0 else -math.inf)
 
 
+def _exact_integers(values: Sequence[float]) -> tuple[list[int], int]:
+    """(integers, denominator): each float is its integer over one power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominator = max(d for _, d in ratios)
+    return [n * (denominator // d) for n, d in ratios], denominator
+
+
 def _check_observation(kb: KnowledgeBase, obs: Observation, seen: set[str]) -> None:
     """Reject an unknown feature, an unknown value, then a feature already in
     ``seen``; otherwise add the observation's feature to ``seen``."""
@@ -524,10 +531,10 @@ def serialize_kb(kb: KnowledgeBase) -> bytes:
             {
                 "feature": f.id,
                 "disease": d.id,
-                "probs": {v: kb.conditionals.entries[(f.id, v, d.id)] for v in f.values},
+                "probs": {v: kb.vectors[f.id][v][i] for v in f.values},
             }
             for f in kb.features
-            for d in kb.diseases
+            for i, d in enumerate(kb.diseases)
         ],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-# convergence_probe looks these up by name when it runs, so a replaced
-# synth.<calculus> (bench/spans.py patches them) is the one it calls.
-from .engine import naive_dempster_shafer, odds_likelihood, simple_bayes
+from .engine import _prefixes
 from .kb import (
     CALCULI,
     PROB_SUM_TOL,
@@ -33,6 +32,10 @@ from .kb import (
     Observation,
     validate_kb,  # unused here; bench/spans.py patches synth.validate_kb by name
 )
+
+# Each calculus on every nonempty prefix of an observation list.  convergence_probe looks these
+# up by name when it runs, so a replaced synth.<calculus> (bench/spans.py patches them) runs.
+simple_bayes, odds_likelihood, naive_dempster_shafer = (partial(_prefixes, calculus=c) for c in CALCULI)
 
 # The oracle exists to be trusted, so it stays small and simple.
 ORACLE_MAX_DISEASES = 64
@@ -133,16 +136,16 @@ class ProbePoint:
 def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
     """Run every calculus in ``CALCULI`` on 1..spec.n replicated tokens.
 
-    Builds one knowledge base of ``spec.n`` tokens; step n runs on its
-    first n observations, which gives the n-token result because the
-    calculi read only observed rows.  Returns the full trajectory so
-    peakedness and washout behavior can be plotted or asserted.
+    Builds one knowledge base of ``spec.n`` tokens and runs each calculus once
+    on all of it: step n is its first n observations, the n-token result.
+    Tokens share one row, so simple Bayes and naive Dempster-Shafer fail at
+    step 1 if at all, and odds-likelihood later only if neither does: each
+    trajectory in turn raises what a step-by-step run raises.  Returns the
+    full trajectory so peakedness and washout can be plotted or asserted.
     """
     kb, observations = replicate_evidence_kb(spec)
-    return [
-        ProbePoint(n=n, **{name: globals()[name](kb, observations[:n]) for name in CALCULI})
-        for n in range(1, spec.n + 1)
-    ]
+    trajectories = [globals()[name](kb, observations) for name in CALCULI]
+    return [ProbePoint(n, **dict(zip(CALCULI, step))) for n, step in enumerate(zip(*trajectories), 1)]
 
 
 def probe_tsv(points: Sequence[ProbePoint]) -> str:

@@ -17,7 +17,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from uncertain_dx.decision import expected_class_disutility, max_belief_diagnosis
-from uncertain_dx.engine import _PRIOR_ONE_TOL
+from uncertain_dx.engine import _PRIOR_ONE_TOL, naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
     AllHypothesesRuledOut,
     DegeneratePrior,
@@ -29,6 +29,7 @@ from uncertain_dx.errors import (
 )
 from uncertain_dx.evaluation import CaseWeight, expected_disutility
 from uncertain_dx.kb import (
+    CALCULI,
     PROB_SUM_TOL,
     BeliefDistribution,
     ConditionalTable,
@@ -47,6 +48,7 @@ from uncertain_dx.kb import (
     _require,
     _string,
 )
+from uncertain_dx.synth import ProbePoint, ReplicatedEvidenceSpec, replicate_evidence_kb
 
 
 def with_fault(doc, path: tuple, fault: str):
@@ -575,3 +577,15 @@ def reference_load_kb(source) -> KnowledgeBase:
         features=tuple(features),
         conditionals=ConditionalTable(entries),
     )
+
+
+def reference_convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
+    """The probe step by step: every calculus in ``CALCULI`` called on each
+    prefix of the replicated tokens, one public call per (step, calculus)."""
+    kb, observations = replicate_evidence_kb(spec)
+    calculi = {"simple_bayes": simple_bayes, "odds_likelihood": odds_likelihood,
+               "naive_dempster_shafer": naive_dempster_shafer}
+    return [
+        ProbePoint(n=n, **{name: calculi[name](kb, observations[:n]) for name in CALCULI})
+        for n in range(1, spec.n + 1)
+    ]

@@ -32,6 +32,7 @@ from support import (
     reference_odds_likelihood,
     reference_simple_bayes,
 )
+from uncertain_dx import engine
 from uncertain_dx.engine import (
     barnett_combine,
     cf_parallel_combine,
@@ -52,7 +53,16 @@ from uncertain_dx.errors import (
     ValidationError,
     ZeroMarginal,
 )
-from uncertain_dx.kb import PROB_SUM_TOL, ConditionalTable, Disease, Feature, KnowledgeBase, Observation
+from uncertain_dx.kb import (
+    CALCULI,
+    PROB_SUM_TOL,
+    BeliefDistribution,
+    ConditionalTable,
+    Disease,
+    Feature,
+    KnowledgeBase,
+    Observation,
+)
 from uncertain_dx.synth import ReplicatedEvidenceSpec, replicate_evidence_kb
 
 
@@ -315,9 +325,26 @@ class TestCfParallelCombine:
     def test_barnett_combine_of_no_evidence_is_positive_zero(self, masses):
         assert math.copysign(1.0, barnett_combine(masses)) == 1.0
 
-    @pytest.mark.parametrize("masses", [[1.0], [0.3, 1.0, 0.2], [0.0, 1.5]], ids=["one", "among-others", "above-one"])
+    @pytest.mark.parametrize("masses", [[1.0], [0.3, 1.0, 0.2]], ids=["one", "among-others"])
     def test_barnett_combine_mass_of_one_absorbs_exactly(self, masses):
         assert barnett_combine(masses) == 1.0
+
+    @pytest.mark.parametrize(
+        "masses",
+        [[-0.5], [1.5], [math.nan], [0.5, -0.5], [1.0, -math.inf], [0.0, 1.5], [1.0, math.nan]],
+        ids=["negative", "above-one", "nan", "negative-after-mass", "minus-inf-after-one", "above-one-after-zero",
+             "nan-after-one"],
+    )
+    def test_barnett_combine_rejects_a_mass_outside_the_unit_interval(self, masses):
+        with pytest.raises(ValueError, match=r"^masses must lie in \[0, 1\]$"):
+            barnett_combine(masses)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0, 1), st.sampled_from((0.0, 1.0, 5e-324, 1.0 - 2**-53))), max_size=8))
+    def test_barnett_combine_keeps_its_bits_on_the_unit_interval(self, masses):
+        """Masses in [0, 1] give what the combination gave before it checked them."""
+        logs = [-math.inf if m >= 1.0 else math.log1p(-m) for m in masses]
+        assert barnett_combine(iter(masses)).hex() == (-math.expm1(math.fsum(logs)) + 0.0).hex()
 
 
 class TestCrossMethodProperties:
@@ -810,3 +837,68 @@ def test_code_built_knowledge_base_is_rejected_or_infers(inputs):
         except (InferenceError, UnknownObservation, ConflictingObservations):
             continue
         assert abs(math.fsum(dist.beliefs.values()) - 1.0) <= PROB_SUM_TOL
+
+
+# Column terms as the calculi make them: logs, so finite terms stay within
+# +-1,500 and no prefix can overflow, with subnormals and both infinities.
+_TERMS = st.one_of(
+    st.floats(-1500, 1500),
+    st.floats(-1e-307, 1e-307),
+    st.sampled_from((math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(st.lists(_TERMS, min_size=d, max_size=d), min_size=1, max_size=40)))
+def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
+    """The running integer sums give ``_column_sums``' bits on every prefix,
+    including its rule for columns holding an infinity or both."""
+    want = [[x.hex() for x in engine._column_sums(*rows[:k])] for k in range(1, len(rows) + 1)]
+    assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
+
+
+def test_prefixes_match_each_prefix_on_random_knowledge_bases():
+    """On random and edge knowledge bases, some with a zero-marginal finding,
+    each calculus's trajectory equals its public call on every prefix, bit
+    for bit, or raises what the first failing prefix raises."""
+    rng = random.Random(31)
+    knowledge_bases = [random_kb(rng, rng.randint(1, 6), rng.randint(1, 6), 3) for _ in range(60)]
+    knowledge_bases += [_odd_kb(rng) for _ in range(90)]
+    outcomes = Counter()
+    for kb in knowledge_bases:
+        if rng.random() < 0.5:
+            kb = _with_zero_marginal_feature(kb)
+        observations = random_observations(rng, kb, rng.randint(0, len(kb.features)))
+        for calculus in CALCULI:
+            want = []
+            for n in range(1, len(observations) + 1):
+                want.append(_outcome(getattr(engine, calculus), kb, observations[:n]))
+                if isinstance(want[-1][0], type):
+                    want = want[-1]
+                    break
+            try:
+                got = [_outcome(lambda: d) for d in engine._prefixes(kb, observations, calculus)]
+            except Exception as exc:  # the class and message are what is compared
+                got = type(exc), str(exc)
+            assert got == want, calculus
+            outcomes["error" if isinstance(want, tuple) else "result"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(kb_with_observations(max_observations=4))
+def test_calculi_results_pass_the_checks_they_skip(kb_obs):
+    """Every result the engine builds without ``BeliefDistribution``'s checks,
+    from a public calculus or a trajectory, passes them and compares equal."""
+    kb, observations = kb_obs
+    results = []
+    for calculus in CALCULI:
+        try:
+            results.append(getattr(engine, calculus)(kb, observations))
+            results += engine._prefixes(kb, observations, calculus)
+        except InferenceError:
+            continue
+    assert results
+    for dist in results:
+        assert type(dist) is BeliefDistribution
+        assert BeliefDistribution(dist.beliefs, dist.pre_norm_sum, dist.method) == dist

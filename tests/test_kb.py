@@ -617,6 +617,16 @@ class TestLoadCases:
         with pytest.raises(ValidationError, match="sum"):
             load_cases(kb_bytes(doc), fixture_kb)
 
+    def test_gold_off_by_more_than_the_tolerance_is_rejected(self, fixture_kb):
+        """Calculi results skip ``BeliefDistribution``'s checks; a gold read from
+        a file does not: one summing to 1 + 2e-6 is rejected at load."""
+        doc = self.case_doc(gold_descriptive={"va": 0.5, "csd": 0.500002})
+        with pytest.raises(ValidationError) as raised:
+            load_cases(kb_bytes(doc), fixture_kb)
+        assert raised.value.violations == [
+            f"case 'x1'.gold_descriptive: probabilities sum to {0.5 + 0.500002!r}, expected 1 within 1e-06"
+        ]
+
     def test_unknown_feature_violation(self, fixture_kb):
         doc = self.case_doc(observations=[{"feature": "nope", "value": "x"}])
         with pytest.raises(ValidationError, match="unknown feature 'nope'"):
@@ -938,6 +948,18 @@ class TestLoadedEntries:
     def test_serialize_round_trip(self):
         assert serialize_kb(self.kb) == serialize_kb(reference_load_kb(self.data))
         assert load_kb(serialize_kb(self.kb)) == self.kb
+
+    def test_serialize_reads_the_vectors_and_builds_no_dict(self):
+        data = serialize_kb(self.kb)
+        assert "_dict" not in vars(self.entries)
+        # The same bytes as reading every entry by key, as serialization once did.
+        doc = json.loads(data)
+        doc["conditionals"] = [
+            {"feature": f.id, "disease": d.id, "probs": {v: self.entries[(f.id, v, d.id)] for v in f.values}}
+            for f in self.kb.features
+            for d in self.kb.diseases
+        ]
+        assert data == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
     @pytest.mark.parametrize(
         "edit",

@@ -30,7 +30,8 @@ def test_tables_follow_calculi():
     assert CALCULI == ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
     assert engine.CALCULI is CALCULI
     assert BELIEF_METHODS == (*CALCULI, "external")
-    assert list(engine._COMPILE) == list(CALCULI)
+    assert list(engine._COMPILE) == list(engine._PRIOR_TERM) == list(CALCULI)
+    assert all(callable(getattr(engine, f"_{name}_combine")) for name in CALCULI)
     assert list(evaluation._INFERENCE) == list(CALCULI)
     assert [f.name for f in dataclasses.fields(synth.ProbePoint)] == ["n", *CALCULI]
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
 
-from support import random_kb, random_observations
+from support import random_kb, random_observations, reference_convergence_probe
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
-from uncertain_dx.errors import AllHypothesesRuledOut
-from uncertain_dx.kb import validate_kb
+from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
+from uncertain_dx.kb import CALCULI, validate_kb
 from uncertain_dx.synth import (
     ReplicatedEvidenceSpec,
     brute_force_posterior,
@@ -190,3 +191,72 @@ class TestConvergenceProbe:
         assert lines[0] == "n\tmethod\tdisease\tbelief"
         assert len(lines) == 1 + 50 * 3 * 3
         assert lines[1].split("\t") == ["1", "simple_bayes", "h1", "0.500000"]
+
+
+# Likelihoods the probe must carry through exactly: ruling out, ruling in and
+# products that underflow.
+EDGE_LIKELIHOODS = (0.0, 1.0, 1e-300, 5e-324, 0.5)
+
+
+def random_probe_spec(rng: random.Random) -> ReplicatedEvidenceSpec:
+    m = rng.randint(1, 6)
+    shape = rng.random()
+    if shape < 0.05:
+        likelihoods = (0.0,) * m
+    elif shape < 0.1:  # every product p * prior may underflow to 0
+        likelihoods = tuple(rng.choice((0.0, 5e-324)) for _ in range(m))
+    else:
+        likelihoods = tuple(rng.choice(EDGE_LIKELIHOODS) if rng.random() < 0.3 else rng.random() for _ in range(m))
+    if m == 1:
+        priors = (1.0,)
+    elif shape < 0.25:  # one prior within 1e-13 of 1
+        rest = rng.choice((1e-13, 5e-14, 2.0**-50))
+        priors = (1.0 - rest, *[rest / (m - 1)] * (m - 1))
+    else:
+        weights = [rng.random() + 1e-3 for _ in range(m)]
+        priors = tuple(w / math.fsum(weights) for w in weights)
+    return ReplicatedEvidenceSpec(likelihoods, priors, n=rng.choice((1, 2, 3, rng.randint(4, 12), rng.randint(13, 40))))
+
+
+def probe_outcome(probe, spec: ReplicatedEvidenceSpec):
+    """Every step's distributions as bits, or the exception's class and message."""
+    try:
+        points = probe(spec)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [
+        (p.n, [(name, type(d), d.method, d.pre_norm_sum.hex(), [(k, v.hex()) for k, v in d.beliefs.items()])
+               for name, d in ((name, getattr(p, name)) for name in CALCULI)])
+        for p in points
+    ]
+
+
+class TestProbeMatchesStepByStep:
+    def test_random_specs_match_bit_for_bit(self):
+        rng = random.Random(2022)
+        outcomes = set()
+        for _ in range(1000):
+            spec = random_probe_spec(rng)
+            want = probe_outcome(reference_convergence_probe, spec)
+            assert probe_outcome(convergence_probe, spec) == want, spec
+            outcomes.add(want[0] if isinstance(want, tuple) else "ok")
+        assert outcomes == {"ok", AllHypothesesRuledOut, ZeroMarginal}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ReplicatedEvidenceSpec.uniform((0.0, 0.0), n=3),
+            ReplicatedEvidenceSpec.uniform((0.0, 1.0), n=5),
+            ReplicatedEvidenceSpec.uniform((1e-300, 0.5), n=30),
+            ReplicatedEvidenceSpec.uniform((5e-324, 5e-324), n=3),
+            ReplicatedEvidenceSpec((0.3,), (1.0,), n=10),
+            ReplicatedEvidenceSpec((0.8, 0.2), (1.0 - 1e-13, 1e-13), n=10),
+        ],
+        ids=["all-zero", "zero-and-one", "tiny", "underflow", "single", "prior-near-one"],
+    )
+    def test_edge_specs_match_bit_for_bit(self, spec):
+        assert probe_outcome(convergence_probe, spec) == probe_outcome(reference_convergence_probe, spec)
+
+    def test_all_zero_likelihoods_raise_what_simple_bayes_raises_first(self):
+        with pytest.raises(AllHypothesesRuledOut, match="^every disease has zero posterior mass$"):
+            convergence_probe(ReplicatedEvidenceSpec.uniform((0.0, 0.0), n=3))
