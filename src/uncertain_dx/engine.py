@@ -15,14 +15,14 @@ probabilities p(feature=value | disease).
 
 Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
-once, at normalization.  Each calculus compiles, then combines.  A
-finding's terms, one per disease, depend only on the knowledge base, so
-they are compiled once per (knowledge base, calculus, finding) from its
-p(obs | d) vector in ``KnowledgeBase.vectors`` and memoized on the
-knowledge base, as are the prior terms.  Combining maps each disease
-column's fsum to a distribution.  A call is a few C-level passes, O(D*O)
-for D diseases and O observations; only findings not yet compiled are
-checked in Python.  ``_prefixes`` gives the result on every prefix of an
+once, at normalization.  The calculi differ in three steps, the columns of
+one table, ``_STEPS``, which has a row per name in ``CALCULI``: the term of
+a disease's prior, a finding's terms, and the combine step from each disease
+column's fsum to a distribution.  A finding's terms, one per disease, are
+compiled once per (knowledge base, calculus, finding) from its p(obs | d)
+vector in ``KnowledgeBase.vectors`` and memoized on the knowledge base, as
+are the prior terms.  A call is a few C-level passes, O(D*O) for D diseases
+and O observations.  ``_prefixes`` gives the result on every prefix of an
 observation list, also in O(D*O): its exact integer running sums round as
 fsum does.  Results and errors are the same as from checking every
 observation and recomputing every term.  Results, normalized by
@@ -38,8 +38,8 @@ ZeroMarginal, EmptyEvidence, UnknownDisease and DegeneratePrior, and
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress, repeat
-from operator import attrgetter, is_, neg, sub, truediv
+from itertools import accumulate, repeat
+from operator import attrgetter, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import AllHypothesesRuledOut, DegeneratePrior, EmptyEvidence, UnknownDisease, ZeroMarginal
@@ -48,43 +48,10 @@ from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
 
-_FEATURE = attrgetter("feature")
-
-
-def _check_all(kb: KnowledgeBase, observations: Sequence[Observation]) -> None:
-    """Check every observation in order; the first that fails raises."""
-    seen: set[str] = set()
-    for obs in observations:
-        _check_observation(kb, obs, seen)
-
-
 def _row(kb: KnowledgeBase, obs: Observation) -> list[float]:
-    """The p(obs | d) vector, one entry per disease, that terms compile from; checks ``obs`` first."""
+    """The p(obs | d) vector, one entry per disease; checks ``obs`` first."""
     _check_observation(kb, obs, set())
     return kb.vectors[obs.feature][obs.value]
-
-
-def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
-    """Check the observations, then return each one's ``calculus`` terms, one
-    per disease, computed on first use from its row and memoized on the
-    knowledge base.  A memoized finding was checked when compiled; a repeated
-    feature checks every observation in order, and otherwise ``_row`` checks
-    the misses in order, all before any is compiled.  A compile error memoizes
-    nothing."""
-    memo = kb.compiled_terms[calculus]
-    try:
-        found = list(map(memo.get, observations))
-        repeated = len(set(map(_FEATURE, observations))) < len(found)
-    except (TypeError, AttributeError):  # not an observation, or an unhashable field
-        _check_all(kb, observations)
-        raise
-    if repeated:
-        _check_all(kb, observations)
-    misses = list(compress(range(len(found)), map(is_, found, repeat(None))))
-    rows = [_row(kb, observations[i]) for i in misses]
-    for i, row in zip(misses, rows):
-        found[i] = memo[observations[i]] = _COMPILE[calculus](kb, observations[i], row)
-    return found
 
 
 def _marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
@@ -115,10 +82,6 @@ def _sigmoid(log_odds: float) -> float:
     return e / (1.0 + e)
 
 
-def _simple_bayes_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
-    return tuple([_log(p) for p in row])
-
-
 def _odds_likelihood_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
     """log p(obs | d) - log p(obs | not-d) per disease.  -inf marks a zero
     p(obs | d), which rules d out, and +inf a zero p(obs | not-d), which
@@ -139,29 +102,10 @@ def _log_complements(masses: Iterable[float]) -> tuple:
     return tuple([-math.inf if m >= 1.0 else math.log1p(-m) for m in masses])
 
 
-def _naive_dempster_shafer_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
-    return _log_complements(_evoking(kb, obs, row))
-
-
 def _prior_log_odds(prior: float) -> float:
     if prior >= 1.0 - _PRIOR_ONE_TOL:
         return math.inf  # an exhaustive single hypothesis has infinite prior odds
     return math.log(prior) - math.log1p(-prior)
-
-
-# Each calculus's term compiler, found by name, so CALCULI alone sets the keys and their order.
-_COMPILE: dict[str, Callable] = {name: globals()[f"_{name}_terms"] for name in CALCULI}
-# Each calculus's term of a disease's prior; naive Dempster-Shafer's priors carry no mass, log(1 - 0).
-_PRIOR_TERM: dict[str, Callable] = {"simple_bayes": _log, "odds_likelihood": _prior_log_odds,
-                                    "naive_dempster_shafer": lambda prior: 0.0}
-
-
-def _priors(kb: KnowledgeBase, calculus: str) -> tuple:
-    """``calculus``'s term of each disease's prior, computed on first use and memoized."""
-    memo = kb.compiled_terms["prior"]
-    if calculus not in memo:
-        memo[calculus] = tuple(map(_PRIOR_TERM[calculus], [d.prior for d in kb.diseases]))
-    return memo[calculus]
 
 
 def _column_sums(*terms: Sequence[float]) -> list[float]:
@@ -204,6 +148,86 @@ def _simple_bayes_combine(kb: KnowledgeBase, log_mass: Sequence[float]) -> Belie
     return _distribution(kb, map(truediv, unnorm, repeat(math.fsum(unnorm))), 1.0, "simple_bayes")
 
 
+def _odds_likelihood_combine(kb: KnowledgeBase, log_odds: Sequence[float]) -> BeliefDistribution:
+    # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
+    pre_norm = list(map(_sigmoid, log_odds))
+    pre_norm_sum = math.fsum(pre_norm)
+    ruled_in = log_odds.count(math.inf)
+    if ruled_in:
+        beliefs = [1.0 / ruled_in if lo == math.inf else 0.0 for lo in log_odds]
+    elif pre_norm_sum > 0.0:
+        beliefs = map(truediv, pre_norm, repeat(pre_norm_sum))
+    else:
+        raise AllHypothesesRuledOut("every disease has zero posterior odds")
+    return _distribution(kb, beliefs, pre_norm_sum, "odds_likelihood")
+
+
+def _naive_dempster_shafer_combine(kb: KnowledgeBase, log_rest: Sequence[float]) -> BeliefDistribution:
+    # from_unnormalized of 1 - prod(1 - m) per disease, from the log complements; -expm1(-inf) is 1.
+    raw = list(map(neg, map(math.expm1, log_rest)))
+    total = math.fsum(raw)
+    if total <= 0.0:
+        raise AllHypothesesRuledOut("all hypotheses have zero belief")
+    return _distribution(kb, [v / total + 0.0 for v in raw], total, "naive_dempster_shafer")  # -0.0 + 0.0 is 0.0
+
+
+# Each calculus's row, in CALCULI's order: its term of a disease's prior (naive Dempster-Shafer's
+# priors carry no mass, log(1 - 0)), its terms of a finding from (kb, obs, row), its combine step.
+_STEPS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "simple_bayes": (_log, lambda kb, obs, row: tuple([_log(p) for p in row]), _simple_bayes_combine),
+    "odds_likelihood": (_prior_log_odds, _odds_likelihood_terms, _odds_likelihood_combine),
+    "naive_dempster_shafer": (lambda prior: 0.0, lambda kb, obs, row: _log_complements(_evoking(kb, obs, row)),
+                              _naive_dempster_shafer_combine),
+}
+
+
+def _priors(kb: KnowledgeBase, calculus: str) -> tuple:
+    """``calculus``'s term of each disease's prior, computed on first use and memoized."""
+    memo = kb.compiled_terms["prior"]
+    if calculus not in memo:
+        memo[calculus] = tuple(map(_STEPS[calculus][0], [d.prior for d in kb.diseases]))
+    return memo[calculus]
+
+
+def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
+    """Each observation's ``calculus`` terms, one per disease, memoized on the knowledge base.
+    Two paths: if every observation is memoized and no feature repeats, read the memo, since a
+    memoized finding was checked when compiled.  Otherwise check every observation in order,
+    then compile the misses in order from their rows; one whose compile raises is not memoized."""
+    memo = kb.compiled_terms[calculus]
+    try:
+        found = list(map(memo.get, observations))
+        if None not in found and len(set(map(attrgetter("feature"), observations))) == len(found):
+            return found
+    except (TypeError, AttributeError):  # not an observation, or an unhashable field: checked below
+        pass
+    seen: set[str] = set()
+    for obs in observations:
+        _check_observation(kb, obs, seen)
+    _, compile_terms, _ = _STEPS[calculus]
+    found = []
+    for obs in observations:
+        if (terms := memo.get(obs)) is None:
+            terms = memo[obs] = compile_terms(kb, obs, kb.vectors[obs.feature][obs.value])
+        found.append(terms)
+    return found
+
+
+def _infer(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> BeliefDistribution:
+    """``calculus`` on ``observations``: its combine step on the column sums of its prior and finding terms."""
+    _, _, combine = _STEPS[calculus]
+    return combine(kb, _column_sums(_priors(kb, calculus), *_compiled(kb, calculus, observations)))
+
+
+def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[BeliefDistribution]:
+    """``calculus`` on ``observations[:n]`` for n = 1..len(observations), in O(D*n): each
+    observation is checked and compiled once, all before any prefix is combined, and
+    ``_prefix_sums`` gives every prefix's column sums."""
+    _, _, combine = _STEPS[calculus]
+    compiled = _compiled(kb, calculus, observations)
+    return [combine(kb, sums) for sums in _prefix_sums([_priors(kb, calculus), *compiled])[1:]]
+
+
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Posterior over diseases assuming evidence independent given disease.
 
@@ -212,8 +236,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
     the priors.  The result is a genuine probability distribution, so
     pre_norm_sum is 1 by construction.
     """
-    terms = _compiled(kb, "simple_bayes", observations)
-    return _simple_bayes_combine(kb, _column_sums(_priors(kb, "simple_bayes"), *terms))
+    return _infer(kb, observations, "simple_bayes")
 
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
@@ -236,20 +259,6 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
     return _negation(_marginal(kb, row), p, disease.prior)
 
 
-def _odds_likelihood_combine(kb: KnowledgeBase, log_odds: Sequence[float]) -> BeliefDistribution:
-    # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
-    pre_norm = list(map(_sigmoid, log_odds))
-    pre_norm_sum = math.fsum(pre_norm)
-    ruled_in = log_odds.count(math.inf)
-    if ruled_in:
-        beliefs = [1.0 / ruled_in if lo == math.inf else 0.0 for lo in log_odds]
-    elif pre_norm_sum > 0.0:
-        beliefs = map(truediv, pre_norm, repeat(pre_norm_sum))
-    else:
-        raise AllHypothesesRuledOut("every disease has zero posterior odds")
-    return _distribution(kb, beliefs, pre_norm_sum, "odds_likelihood")
-
-
 def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Odds-form updating with independence assumed on disease negations.
 
@@ -265,8 +274,7 @@ def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> B
     1; if several diseases are infinite together they share the
     renormalized mass equally and every finite disease gets 0.
     """
-    terms = _compiled(kb, "odds_likelihood", observations)
-    return _odds_likelihood_combine(kb, _column_sums(_priors(kb, "odds_likelihood"), *terms))
+    return _infer(kb, observations, "odds_likelihood")
 
 
 def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
@@ -303,15 +311,6 @@ def barnett_combine(masses: Iterable[float]) -> float:
     return -math.expm1(math.fsum(_log_complements(masses))) + 0.0  # -0.0 + 0.0 is 0.0
 
 
-def _naive_dempster_shafer_combine(kb: KnowledgeBase, log_rest: Sequence[float]) -> BeliefDistribution:
-    # from_unnormalized of 1 - prod(1 - m) per disease, from the log complements; -expm1(-inf) is 1.
-    raw = list(map(neg, map(math.expm1, log_rest)))
-    total = math.fsum(raw)
-    if total <= 0.0:
-        raise AllHypothesesRuledOut("all hypotheses have zero belief")
-    return _distribution(kb, [v / total + 0.0 for v in raw], total, "naive_dempster_shafer")  # -0.0 + 0.0 is 0.0
-
-
 def naive_dempster_shafer(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
     """Belief per disease from combining evoking strengths across observations.
 
@@ -322,14 +321,4 @@ def naive_dempster_shafer(kb: KnowledgeBase, observations: Sequence[Observation]
     """
     if not observations:
         raise EmptyEvidence("naive Dempster-Shafer requires at least one observation")
-    terms = _compiled(kb, "naive_dempster_shafer", observations)
-    return _naive_dempster_shafer_combine(kb, _column_sums(_priors(kb, "naive_dempster_shafer"), *terms))
-
-
-def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[BeliefDistribution]:
-    """``calculus`` on ``observations[:n]`` for n = 1..len(observations), in O(D*n): each
-    observation is checked and compiled once, all before any prefix is combined, and
-    ``_prefix_sums`` gives every prefix's column sums."""
-    compiled = _compiled(kb, calculus, observations)
-    combine = globals()[f"_{calculus}_combine"]
-    return [combine(kb, sums) for sums in _prefix_sums([_priors(kb, calculus), *compiled])[1:]]
+    return _infer(kb, observations, "naive_dempster_shafer")

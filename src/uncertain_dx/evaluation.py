@@ -26,7 +26,7 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, groupby
 from typing import Collection, Sequence
 
 from . import engine
@@ -310,21 +310,15 @@ def _flip_patterns(n: int, iterations: int, seed: int) -> tuple[tuple[bytes, ...
 
 def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
     """(1-based midranks, tie term sum of t^3 - t over tie groups)."""
-    n = len(pooled)
-    order = sorted(range(n), key=lambda i: pooled[i])
-    ranks = [0.0] * n
-    tie_sum = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        avg = (i + j + 2) / 2.0  # 1-based average rank of the tie group
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        t = j - i + 1
+    ranks = [0.0] * len(pooled)
+    tie_sum, start = 0.0, 0
+    for _, group in groupby(sorted(range(len(pooled)), key=pooled.__getitem__), key=pooled.__getitem__):
+        tied = list(group)
+        t = len(tied)
+        for i in tied:
+            ranks[i] = start + (t + 1) / 2  # the average of the 1-based ranks start + 1 .. start + t
         tie_sum += t**3 - t
-        i = j + 1
+        start += t
     return ranks, tie_sum
 
 

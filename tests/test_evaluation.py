@@ -392,6 +392,18 @@ class TestWilcoxonRankTest:
         with pytest.raises(ValueError):
             wilcoxon_rank_test([], [1.0])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2, 2.0]) | st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    def test_midranks_sum_share_and_count_ties(self, pooled):
+        """The ranks sum to exactly n(n + 1)/2, equal values share one rank, and
+        the tie term is the sum of t^3 - t over the multiplicity t of each value."""
+        ranks, tie_sum = evaluation._midranks(pooled)
+        n = len(pooled)
+        assert math.fsum(ranks) == n * (n + 1) / 2
+        for x in pooled:
+            assert len({rank for y, rank in zip(pooled, ranks) if y == x}) == 1
+        assert tie_sum == sum(t**3 - t for t in Counter(pooled).values())
+
 
 class TestExpertRatingSummary:
     def rated_case(self, i, **ratings):

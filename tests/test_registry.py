@@ -5,7 +5,9 @@ names the gold standards once, and every gold field, label and choice follows it
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -30,10 +32,15 @@ def test_tables_follow_calculi():
     assert CALCULI == ("simple_bayes", "odds_likelihood", "naive_dempster_shafer")
     assert engine.CALCULI is CALCULI
     assert BELIEF_METHODS == (*CALCULI, "external")
-    assert list(engine._COMPILE) == list(engine._PRIOR_TERM) == list(CALCULI)
-    assert all(callable(getattr(engine, f"_{name}_combine")) for name in CALCULI)
+    assert list(engine._STEPS) == list(CALCULI)
+    assert all(len(row) == 3 and all(map(callable, row)) for row in engine._STEPS.values())
     assert list(evaluation._INFERENCE) == list(CALCULI)
     assert [f.name for f in dataclasses.fields(synth.ProbePoint)] == ["n", *CALCULI]
+
+
+def test_engine_finds_no_step_by_name():
+    """Each calculus's steps are read from the engine's one table, never looked up by name."""
+    assert not re.search(r"\bglobals\s*\(", inspect.getsource(engine))
 
 
 def test_every_calculus_is_an_evaluated_method_of_its_own():
