@@ -21,13 +21,14 @@ a disease's prior, a finding's terms, and the combine step from each disease
 column's fsum to a distribution.  A finding's terms, one per disease, are
 compiled once per (knowledge base, calculus, finding) from its p(obs | d)
 vector in ``KnowledgeBase.vectors`` and memoized on the knowledge base, as
-are the prior terms.  A call is a few C-level passes, O(D*O) for D diseases
-and O observations.  ``_prefixes`` gives the result on every prefix of an
-observation list, also in O(D*O): its exact integer running sums round as
-fsum does.  Results and errors are the same as from checking every
-observation and recomputing every term.  Results, normalized by
-construction, skip the checks a distribution read from a file gets.  All
-functions are safe to call concurrently on shared knowledge bases.
+are the prior terms; a call compiles each row object once, so replicated
+tokens that share a row share its terms.  A call is a few C-level passes,
+O(D*O) for D diseases and O observations.  ``_prefixes`` gives the result on
+every prefix of an observation list, also in O(D*O): its exact integer
+running sums round as fsum does.  Results and errors are the same as from
+checking every observation and recomputing every term.  Results, normalized
+by construction, skip a file's distribution checks.  All functions are safe
+to call concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -192,8 +193,8 @@ def _priors(kb: KnowledgeBase, calculus: str) -> tuple:
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
     """Each observation's ``calculus`` terms, one per disease, memoized on the knowledge base.
     Two paths: if every observation is memoized and no feature repeats, read the memo, since a
-    memoized finding was checked when compiled.  Otherwise check every observation in order,
-    then compile the misses in order from their rows; one whose compile raises is not memoized."""
+    memoized finding was checked when compiled.  Otherwise check every observation in order, then
+    compile the misses in order, each row object once per call; a compile that raises memoizes nothing."""
     memo = kb.compiled_terms[calculus]
     try:
         found = list(map(memo.get, observations))
@@ -205,10 +206,13 @@ def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observati
     for obs in observations:
         _check_observation(kb, obs, seen)
     _, compile_terms, _ = _STEPS[calculus]
-    found = []
+    found, by_row = [], {}
     for obs in observations:
         if (terms := memo.get(obs)) is None:
-            terms = memo[obs] = compile_terms(kb, obs, kb.vectors[obs.feature][obs.value])
+            row = kb.vectors[obs.feature][obs.value]
+            if (terms := by_row.get(id(row))) is None:
+                terms = by_row[id(row)] = compile_terms(kb, obs, row)
+            memo[obs] = terms
         found.append(terms)
     return found
 

@@ -10,12 +10,12 @@ with optional gold standards, one per ``GOLD_SOURCES`` name, and ratings.
 
 Everything in this module is immutable after load and safe to share
 across threads.  A ``KnowledgeBase`` reads its table once, on construction,
-into the ``vectors`` that validation and the engine read; a loaded table's
-``entries`` are a read-only ``Mapping`` over its own vectors.  Changing a
-code-built dict afterwards is unsupported; build a new knowledge base with
-``dataclasses.replace``.  ``KnowledgeBase.compiled_terms``, the engine's
-memos, fill in any order, so sharing stays safe.  An ``Observation`` is a
-named tuple, equal to its ``(feature, value)`` tuple, and keys those memos.
+into the ``vectors`` that validation and the engine read; a loaded or
+replicated table's ``entries`` are a read-only ``Mapping`` over its vectors.
+Changing a code-built dict afterwards is unsupported; build a new knowledge
+base with ``dataclasses.replace``.  ``KnowledgeBase.compiled_terms``, the
+engine's memos, fill in any order, so sharing stays safe.  An ``Observation``
+is a named tuple, equal to its ``(feature, value)`` tuple, and keys memos.
 
 File formats (UTF-8 JSON):
 
@@ -86,7 +86,7 @@ class Feature:
 
 @dataclass(frozen=True)
 class ConditionalTable:
-    """Dense map (feature id, value id, disease id) -> probability: a dict, or a loaded ``_LoadedEntries``."""
+    """Dense map (feature id, value id, disease id) -> probability: a dict, or ``_LoadedEntries``' vectors."""
 
     entries: Mapping[tuple[str, str, str], float]
 
@@ -95,26 +95,13 @@ class ConditionalTable:
 
 
 class _LoadedEntries(Mapping):
-    """A table read from a file's conditional rows: ``vectors[feature][value]`` is
-    p(feature=value | d) per disease, in the order of ``layout``, the (diseases,
-    features) read.  Only indexing or iterating builds a dict of the entries, once.
-    A malformed row, or an unknown, repeated or missing entry, raises LookupError,
-    TypeError or AttributeError, and a value ``_number`` rejects FileFormatError."""
+    """Per-finding vectors, read from a file's rows by ``_read_vectors`` or built by ``synth``:
+    ``vectors[feature][value]`` is p(feature=value | d) per disease, in the order of ``layout``,
+    the (diseases, features) they fit.  Only indexing or iterating builds a dict of the entries."""
 
-    def __init__(self, diseases: tuple[Disease, ...], features: tuple[Feature, ...], rows: list) -> None:
+    def __init__(self, diseases: tuple[Disease, ...], features: tuple[Feature, ...], vectors: dict) -> None:
         self.layout = (diseases, features)
-        self.vectors = {f.id: {v: [None] * len(diseases) for v in f.values} for f in features}
-        column = {d.id: i for i, d in enumerate(diseases)}
-        filled = 0
-        for entry in rows:
-            i, by_value, probs = column[entry["disease"]], self.vectors[entry["feature"]], entry["probs"]
-            for value, p in probs.items():
-                if (vector := by_value[value])[i] is not None:
-                    raise LookupError(f"repeated entry for {value!r}")
-                vector[i] = p if type(p) is float and math.isfinite(p) else _number(p, "")
-            filled += len(probs)
-        if filled < len(self):
-            raise LookupError("missing entries")
+        self.vectors = vectors
 
     @cached_property
     def _dict(self) -> dict[tuple[str, str, str], float]:
@@ -129,6 +116,24 @@ class _LoadedEntries(Mapping):
 
     def __len__(self) -> int:
         return len(self.layout[0]) * sum(map(len, self.vectors.values()))
+
+
+def _read_vectors(diseases: tuple[Disease, ...], features: tuple[Feature, ...], rows: list) -> dict:
+    """A file's conditional rows as vectors.  A malformed row, or an unknown, repeated or missing entry,
+    raises LookupError, TypeError or AttributeError, and a value ``_number`` rejects FileFormatError."""
+    vectors = {f.id: {v: [None] * len(diseases) for v in f.values} for f in features}
+    column = {d.id: i for i, d in enumerate(diseases)}
+    filled = 0
+    for entry in rows:
+        i, by_value, probs = column[entry["disease"]], vectors[entry["feature"]], entry["probs"]
+        for value, p in probs.items():
+            if (vector := by_value[value])[i] is not None:
+                raise LookupError(f"repeated entry for {value!r}")
+            vector[i] = p if type(p) is float and math.isfinite(p) else _number(p, "")
+        filled += len(probs)
+    if filled < len(diseases) * sum(map(len, vectors.values())):
+        raise LookupError("missing entries")
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,8 @@ class KnowledgeBase:
     @cached_property
     def vectors(self) -> dict[str, dict[str, list]]:
         """``vectors[feature][value]``: p(feature=value | d) per disease, in ``diseases`` order,
-        built on construction.  A table loaded for these diseases and features gives its
-        own vectors; any other is read with one ``entries.get`` per slot, None if missing."""
+        built on construction.  A ``_LoadedEntries`` built for these diseases and features
+        gives its own vectors; any other is read with one ``entries.get`` per slot, None if missing."""
         entries = self.conditionals.entries
         if isinstance(entries, _LoadedEntries) and entries.layout == (self.diseases, self.features):
             return entries.vectors
@@ -498,7 +503,8 @@ def load_kb(source: bytes | str | os.PathLike | IO[bytes]) -> KnowledgeBase:
     diseases, features = tuple(diseases), tuple(features)
     rows = _array(_require(doc, "conditionals", "knowledge base"), "conditionals")
     try:  # a valid file reads straight into vectors; the row loop below names any fault
-        return KnowledgeBase(diseases, features, ConditionalTable(_LoadedEntries(diseases, features, rows)))
+        vectors = _read_vectors(diseases, features, rows)
+        return KnowledgeBase(diseases, features, ConditionalTable(_LoadedEntries(diseases, features, vectors)))
     except (LookupError, TypeError, AttributeError, InputError):
         pass
 

@@ -2,11 +2,12 @@
 
 The replicated-evidence construction builds a knowledge base in which
 every feature is an independent copy of the same binary evidence token,
-so the behavior of each inference method under growing evidence can be
-inspected exactly: the simple-Bayes posterior concentrates on the
-best-supported hypothesis, while renormalized odds-likelihood washes out
-differences between every hypothesis whose evidence is confirmatory on
-balance.
+sharing one "present" and one "absent" row object, which the engine compiles
+once per call.  So the behavior of each inference method under growing
+evidence can be inspected exactly and cheaply: the simple-Bayes posterior
+concentrates on the best-supported hypothesis, while renormalized
+odds-likelihood washes out differences between every hypothesis whose
+evidence is confirmatory on balance.
 
 brute_force_posterior is the trusted reference for the simple-Bayes
 computation: plain linear-space products with compensated summation, no
@@ -30,6 +31,7 @@ from .kb import (
     Feature,
     KnowledgeBase,
     Observation,
+    _LoadedEntries,
     validate_kb,  # unused here; bench/spans.py patches synth.validate_kb by name
 )
 
@@ -81,7 +83,7 @@ def replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, 
 
     Hypotheses are named h1..hm, features e1..en with values
     present/absent, and the returned observations report every token as
-    present.
+    present.  Every token shares one "present" and one "absent" vector.
     """
     diseases = tuple(
         Disease(id=f"h{i + 1}", name=f"H{i + 1}", prior=p, equivalence_class=f"h{i + 1}")
@@ -91,12 +93,9 @@ def replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, 
         Feature(id=f"e{k + 1}", name=f"evidence {k + 1}", values=("present", "absent"))
         for k in range(spec.n)
     )
-    entries: dict[tuple[str, str, str], float] = {}
-    for feature in features:
-        for disease, likelihood in zip(diseases, spec.likelihoods):
-            entries[(feature.id, "present", disease.id)] = likelihood
-            entries[(feature.id, "absent", disease.id)] = 1.0 - likelihood
-    kb = KnowledgeBase(diseases=diseases, features=features, conditionals=ConditionalTable(entries))
+    by_value = {"present": list(spec.likelihoods), "absent": [1.0 - p for p in spec.likelihoods]}
+    vectors = dict.fromkeys([f.id for f in features], by_value)
+    kb = KnowledgeBase(diseases, features, ConditionalTable(_LoadedEntries(diseases, features, vectors)))
     observations = [Observation(feature=f.id, value="present") for f in features]
     return kb, observations
 
@@ -138,10 +137,11 @@ def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
 
     Builds one knowledge base of ``spec.n`` tokens and runs each calculus once
     on all of it: step n is its first n observations, the n-token result.
-    Tokens share one row, so simple Bayes and naive Dempster-Shafer fail at
-    step 1 if at all, and odds-likelihood later only if neither does: each
-    trajectory in turn raises what a step-by-step run raises.  Returns the
-    full trajectory so peakedness and washout can be plotted or asserted.
+    Tokens share one row object, which each calculus compiles once, so
+    simple Bayes and naive Dempster-Shafer fail at step 1 if at all, and
+    odds-likelihood later only if neither does: each trajectory in turn
+    raises what a step-by-step run raises.  Returns the full trajectory so
+    peakedness and washout can be plotted or asserted.
     """
     kb, observations = replicate_evidence_kb(spec)
     trajectories = [globals()[name](kb, observations) for name in CALCULI]

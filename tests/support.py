@@ -48,7 +48,7 @@ from uncertain_dx.kb import (
     _require,
     _string,
 )
-from uncertain_dx.synth import ProbePoint, ReplicatedEvidenceSpec, replicate_evidence_kb
+from uncertain_dx.synth import ProbePoint, ReplicatedEvidenceSpec
 
 
 def with_fault(doc, path: tuple, fault: str):
@@ -579,10 +579,26 @@ def reference_load_kb(source) -> KnowledgeBase:
     )
 
 
+def reference_replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, list[Observation]]:
+    """The replicated-evidence knowledge base from a plain dict table, one entry
+    per (token, value, hypothesis): (e_k, "present", h_i) -> p_i and
+    (e_k, "absent", h_i) -> 1 - p_i, so no two findings share a row object."""
+    diseases = tuple(Disease(f"h{i}", f"H{i}", p, f"h{i}") for i, p in enumerate(spec.priors, 1))
+    features = tuple(Feature(f"e{k}", f"evidence {k}", ("present", "absent")) for k in range(1, spec.n + 1))
+    entries = {}
+    for f in features:
+        for d, p in zip(diseases, spec.likelihoods):
+            entries[(f.id, "present", d.id)] = p
+            entries[(f.id, "absent", d.id)] = 1.0 - p
+    kb = KnowledgeBase(diseases=diseases, features=features, conditionals=ConditionalTable(entries))
+    return kb, [Observation(f.id, "present") for f in features]
+
+
 def reference_convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
     """The probe step by step: every calculus in ``CALCULI`` called on each
-    prefix of the replicated tokens, one public call per (step, calculus)."""
-    kb, observations = replicate_evidence_kb(spec)
+    prefix of the replicated tokens, one public call per (step, calculus), on
+    ``reference_replicate_evidence_kb``'s dict-built knowledge base."""
+    kb, observations = reference_replicate_evidence_kb(spec)
     calculi = {"simple_bayes": simple_bayes, "odds_likelihood": odds_likelihood,
                "naive_dempster_shafer": naive_dempster_shafer}
     return [

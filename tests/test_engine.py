@@ -63,7 +63,7 @@ from uncertain_dx.kb import (
     KnowledgeBase,
     Observation,
 )
-from uncertain_dx.synth import ReplicatedEvidenceSpec, replicate_evidence_kb
+from uncertain_dx.synth import ReplicatedEvidenceSpec, convergence_probe, replicate_evidence_kb
 
 
 def assert_dist(dist, expected, tol=1e-6):
@@ -584,6 +584,51 @@ def test_memoized_failure_raises_again(method, case, error):
         method(kb, observations)
     assert str(second.value) == str(first.value)
     assert not entries.reads
+
+
+def _counted_compiles(monkeypatch) -> list:
+    """Wrap each calculus's compile step in ``engine._STEPS``; the list gets every row compiled."""
+    rows = []
+    for calculus, (prior_term, compile_terms, combine) in list(engine._STEPS.items()):
+        def counted(kb, obs, row, compile_terms=compile_terms):
+            rows.append(row)
+            return compile_terms(kb, obs, row)
+
+        monkeypatch.setitem(engine._STEPS, calculus, (prior_term, counted, combine))
+    return rows
+
+
+def test_probe_compiles_the_shared_row_once_per_calculus(monkeypatch):
+    """The golden probe's 100 tokens share one "present" row object, so one
+    probe compiles 3 rows, one per calculus, not 300."""
+    compiled = _counted_compiles(monkeypatch)
+    points = convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
+    assert len(points) == 100
+    assert len(compiled) == 3
+    assert all(row is compiled[0] for row in compiled)
+
+
+def test_distinct_rows_compile_once_per_finding(monkeypatch):
+    """A knowledge base with a row object per finding compiles each observed
+    finding once per calculus, and a warm call compiles nothing."""
+    rng = random.Random(5)
+    kb = random_kb(rng, n_diseases=6, n_features=8)
+    observations = random_observations(rng, kb, 7)
+    compiled = _counted_compiles(monkeypatch)
+    first = all_three_calculi(kb, observations)
+    assert len(compiled) == 3 * 7
+    assert all_three_calculi(kb, observations) == first
+    assert len(compiled) == 3 * 7
+
+
+def test_shared_row_failure_names_the_first_observation():
+    """Tokens that share a zero-marginal row fail on the first of them in
+    order, with the message a row-per-finding table gives."""
+    kb, observations = replicate_evidence_kb(ReplicatedEvidenceSpec.uniform((0.0, 0.0), n=3))
+    for ordered, first in ((observations, "e1"), (observations[::-1], "e3")):
+        with pytest.raises(ZeroMarginal) as raised:
+            naive_dempster_shafer(kb, ordered)
+        assert str(raised.value) == f"observation ('{first}', 'present') has zero marginal probability"
 
 
 @dataclass

@@ -33,7 +33,7 @@ from uncertain_dx.kb import (
     Feature,
     KnowledgeBase,
     Observation,
-    _LoadedEntries,
+    _read_vectors,
     _table_violations,
     cross_product_feature,
     load_cases,
@@ -918,9 +918,9 @@ class TestLoadedEntries:
 
     def test_a_missing_entry_is_a_lookup_error(self):
         rows = json.loads(self.data)["conditionals"]
-        _LoadedEntries(self.kb.diseases, self.kb.features, rows)
+        _read_vectors(self.kb.diseases, self.kb.features, rows)
         with pytest.raises(LookupError):
-            _LoadedEntries(self.kb.diseases, self.kb.features, rows[1:])
+            _read_vectors(self.kb.diseases, self.kb.features, rows[1:])
 
     def test_length_builds_no_dict(self):
         len(self.entries)

@@ -8,10 +8,10 @@ from dataclasses import replace
 
 import pytest
 
-from support import random_kb, random_observations, reference_convergence_probe
+from support import random_kb, random_observations, reference_convergence_probe, reference_replicate_evidence_kb
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
-from uncertain_dx.kb import CALCULI, validate_kb
+from uncertain_dx.kb import CALCULI, load_kb, serialize_kb, validate_kb
 from uncertain_dx.synth import (
     ReplicatedEvidenceSpec,
     brute_force_posterior,
@@ -83,6 +83,62 @@ class TestReplicateEvidenceKb:
             )
             for method in (simple_bayes, odds_likelihood, naive_dempster_shafer):
                 assert method(kb, observations).beliefs == {"h1": 1.0}
+
+
+SHARED_TABLE_SPECS = [
+    ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100),
+    ReplicatedEvidenceSpec(likelihoods=(0.0, 1.0, 1e-300), priors=(0.2, 0.5, 0.3), n=7),
+    ReplicatedEvidenceSpec(likelihoods=(0.4,), priors=(1.0,), n=1),
+]
+
+
+def outcome(method, kb, observations):
+    """A distribution's beliefs and sum as bits, or the exception's class and message."""
+    try:
+        dist = method(kb, observations)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [(k, v.hex()) for k, v in dist.beliefs.items()], dist.pre_norm_sum.hex(), dist.method
+
+
+class TestSharedTable:
+    """The replicated table is two vectors that every token shares; it reads
+    as the one-entry-per-slot dict table that ``reference_replicate_evidence_kb`` builds."""
+
+    @pytest.mark.parametrize("spec", SHARED_TABLE_SPECS)
+    def test_tokens_share_the_present_and_absent_vectors(self, spec):
+        kb, _ = replicate_evidence_kb(spec)
+        first = kb.vectors["e1"]
+        assert first["present"] == list(spec.likelihoods)
+        assert first["absent"] == [1.0 - p for p in spec.likelihoods]
+        for f in kb.features:
+            assert kb.vectors[f.id]["present"] is first["present"]
+            assert kb.vectors[f.id]["absent"] is first["absent"]
+
+    @pytest.mark.parametrize("spec", SHARED_TABLE_SPECS)
+    def test_entries_equal_the_dict_table(self, spec):
+        kb, observations = replicate_evidence_kb(spec)
+        reference, reference_observations = reference_replicate_evidence_kb(spec)
+        entries = kb.conditionals.entries
+        assert entries == reference.conditionals.entries
+        assert reference.conditionals.entries == entries
+        assert len(entries) == 2 * len(spec.likelihoods) * spec.n
+        assert kb == reference
+        assert observations == reference_observations
+
+    @pytest.mark.parametrize("spec", SHARED_TABLE_SPECS)
+    def test_oracle_and_round_trip_match_the_dict_table(self, spec):
+        kb, observations = replicate_evidence_kb(spec)
+        reference, _ = reference_replicate_evidence_kb(spec)
+        assert outcome(brute_force_posterior, kb, observations) == outcome(
+            brute_force_posterior, reference, observations
+        )
+        data = serialize_kb(kb)
+        assert data == serialize_kb(reference)
+        loaded = load_kb(data)
+        assert loaded == kb
+        for method in (simple_bayes, odds_likelihood, naive_dempster_shafer):
+            assert outcome(method, loaded, observations) == outcome(method, reference, observations)
 
 
 class TestBruteForcePosterior:
