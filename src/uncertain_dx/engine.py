@@ -15,20 +15,19 @@ probabilities p(feature=value | disease).
 
 Products run in log space so that cases with a hundred or more
 observations cannot underflow; conversion back to probabilities happens
-once, at normalization.  The calculi differ in three steps, the columns of
-one table, ``_STEPS``, which has a row per name in ``CALCULI``: the term of
-a disease's prior, a finding's terms, and the combine step from each disease
-column's fsum to a distribution.  A finding's terms, one per disease, are
-compiled once per (knowledge base, calculus, finding) from its p(obs | d)
-vector in ``KnowledgeBase.vectors`` and memoized on the knowledge base, as
-are the prior terms; a call compiles each row object once, so replicated
-tokens that share a row share its terms.  A call is a few C-level passes,
-O(D*O) for D diseases and O observations.  ``_prefixes`` gives the result on
-every prefix of an observation list, also in O(D*O): its exact integer
-running sums round as fsum does.  Results and errors are the same as from
-checking every observation and recomputing every term.  Results, normalized
-by construction, skip a file's distribution checks.  All functions are safe
-to call concurrently on shared knowledge bases.
+once, at normalization.  The calculi differ in two steps, the columns of one
+table, ``_STEPS``, which has a row per name in ``CALCULI``: the term of a
+disease's prior, and the combine step from each disease column's fsum to a
+distribution.  Their terms of a finding share log p(obs | d), p(d) p(obs | d)
+and its sum, so ``_finding_terms`` compiles all three at once, in C-level
+passes over the finding's vector in ``KnowledgeBase.vectors``, into one memo
+on the knowledge base that also keeps the prior terms.  A call compiles each
+row object once, so replicated tokens share their row's terms, and is O(D*O)
+for D diseases and O observations; so is ``_prefixes``, every prefix's result
+from exact integer running sums that round as fsum does.  Results and errors
+are each calculus's own, as from checking every observation and recomputing
+every term.  Results, normalized by construction, skip a file's distribution
+checks.  All functions are safe to call concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import attrgetter, neg, sub, truediv
+from operator import attrgetter, mul, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import AllHypothesesRuledOut, DegeneratePrior, EmptyEvidence, UnknownDisease, ZeroMarginal
@@ -49,31 +48,11 @@ from .kb import CALCULI, BeliefDistribution, KnowledgeBase, Observation, _check_
 # A prior this close to 1 leaves no measurable mass on the negation.
 _PRIOR_ONE_TOL = 1e-12
 
-def _row(kb: KnowledgeBase, obs: Observation) -> list[float]:
-    """The p(obs | d) vector, one entry per disease; checks ``obs`` first."""
+def _weighted(kb: KnowledgeBase, obs: Observation) -> tuple[list[float], float]:
+    """p(d) p(obs | d) per disease, and their fsum; checks ``obs`` first."""
     _check_observation(kb, obs, set())
-    return kb.vectors[obs.feature][obs.value]
-
-
-def _marginal(kb: KnowledgeBase, row: Sequence[float]) -> float:
-    return min(math.fsum(d.prior * p for d, p in zip(kb.diseases, row)), 1.0)
-
-
-def _negation(p_obs: float, p: float, prior: float) -> float:
-    # Never negative: p_obs is an fsum of nonnegative terms, p * prior among them, capped at 1.
-    return min((p_obs - p * prior) / (1.0 - prior), 1.0)
-
-
-def _evoking(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> list[float]:
-    weighted = [d.prior * p for d, p in zip(kb.diseases, row)]
-    z = math.fsum(weighted)
-    if z <= 0.0:
-        raise ZeroMarginal(f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability")
-    return [w / z for w in weighted]
-
-
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
+    weighted = list(map(mul, _priors(kb)[0], kb.vectors[obs.feature][obs.value]))
+    return weighted, math.fsum(weighted)
 
 
 def _sigmoid(log_odds: float) -> float:
@@ -83,19 +62,32 @@ def _sigmoid(log_odds: float) -> float:
     return e / (1.0 + e)
 
 
-def _odds_likelihood_terms(kb: KnowledgeBase, obs: Observation, row: Sequence[float]) -> tuple:
-    """log p(obs | d) - log p(obs | not-d) per disease.  -inf marks a zero
-    p(obs | d), which rules d out, and +inf a zero p(obs | not-d), which
-    rules d in; neither arises otherwise.  A prior of one rules d in first."""
-    p_obs = _marginal(kb, row)
-    terms = []
-    for d, p in zip(kb.diseases, row):
-        if p == 0.0 or d.prior >= 1.0 - _PRIOR_ONE_TOL:
-            terms.append(-math.inf if p == 0.0 else math.inf)
+def _finding_terms(row: Sequence[float], priors: Sequence[float], complements: Sequence[float] | None) -> tuple:
+    """A row's terms in ``CALCULI`` order: log p(obs | d); log p(obs | d) - log p(obs | not-d), or -inf
+    if p(obs | d) is 0, else +inf if the prior is 1 or p(obs | not-d) is 0; log(1 - evoking strength), or
+    None for a zero marginal.  No ``complements`` (a prior of 1), or a log of 0 (a zero entry, a zero
+    negation, every one for a zero marginal, or a mass of 1), sends the row through the per-disease loop."""
+    weighted = list(map(mul, priors, row))
+    z = math.fsum(weighted)
+    if complements is not None:
+        try:
+            logs = tuple(map(math.log, row))
+            negations = list(map(truediv, map(sub, repeat(min(z, 1.0)), weighted), complements))
+            if max(negations) > 1.0:  # rounding overshot: cap at 1; min(x, 1) is x otherwise
+                negations = map(min, negations, repeat(1.0))
+            return (logs, tuple(map(sub, logs, map(math.log, negations))),
+                    tuple(map(math.log1p, map(truediv, weighted, repeat(-z)))))  # w / -z is -(w / z)
+        except ValueError:
+            pass
+    ratios = []
+    for p, w, prior in zip(row, weighted, priors):
+        if p == 0.0 or prior >= 1.0 - _PRIOR_ONE_TOL:
+            ratios.append(-math.inf if p == 0.0 else math.inf)
             continue
-        denom = _negation(p_obs, p, d.prior)
-        terms.append(math.inf if denom == 0.0 else math.log(p) - math.log(denom))
-    return tuple(terms)
+        denom = min((min(z, 1.0) - w) / (1.0 - prior), 1.0)  # never negative: w is among z's terms
+        ratios.append(math.inf if denom == 0.0 else math.log(p) - math.log(denom))
+    logs = tuple([math.log(p) if p > 0.0 else -math.inf for p in row])
+    return logs, tuple(ratios), None if z <= 0.0 else _log_complements([w / z for w in weighted])
 
 
 def _log_complements(masses: Iterable[float]) -> tuple:
@@ -173,63 +165,68 @@ def _naive_dempster_shafer_combine(kb: KnowledgeBase, log_rest: Sequence[float])
 
 
 # Each calculus's row, in CALCULI's order: its term of a disease's prior (naive Dempster-Shafer's
-# priors carry no mass, log(1 - 0)), its terms of a finding from (kb, obs, row), its combine step.
-_STEPS: dict[str, tuple[Callable, Callable, Callable]] = {
-    "simple_bayes": (_log, lambda kb, obs, row: tuple([_log(p) for p in row]), _simple_bayes_combine),
-    "odds_likelihood": (_prior_log_odds, _odds_likelihood_terms, _odds_likelihood_combine),
-    "naive_dempster_shafer": (lambda prior: 0.0, lambda kb, obs, row: _log_complements(_evoking(kb, obs, row)),
-                              _naive_dempster_shafer_combine),
+# priors carry no mass, log(1 - 0)) and its combine step; ``_finding_terms`` compiles all three's terms.
+_STEPS: dict[str, tuple[Callable, Callable]] = {
+    "simple_bayes": (math.log, _simple_bayes_combine),  # a valid prior is positive
+    "odds_likelihood": (_prior_log_odds, _odds_likelihood_combine),
+    "naive_dempster_shafer": (lambda prior: 0.0, _naive_dempster_shafer_combine),
 }
 
 
-def _priors(kb: KnowledgeBase, calculus: str) -> tuple:
-    """``calculus``'s term of each disease's prior, computed on first use and memoized."""
-    memo = kb.compiled_terms["prior"]
-    if calculus not in memo:
-        memo[calculus] = tuple(map(_STEPS[calculus][0], [d.prior for d in kb.diseases]))
-    return memo[calculus]
+def _priors(kb: KnowledgeBase) -> tuple:
+    """The priors, 1 - each prior or None if one is within _PRIOR_ONE_TOL of 1, and each calculus's
+    prior terms in ``CALCULI`` order: computed on first use and memoized."""
+    memo = kb.compiled_terms
+    if "prior" not in memo:
+        priors = [d.prior for d in kb.diseases]
+        complements = None if max(priors) >= 1.0 - _PRIOR_ONE_TOL else [1.0 - p for p in priors]
+        memo["prior"] = priors, complements, [tuple(map(term, priors)) for term, _ in _STEPS.values()]
+    return memo["prior"]
 
 
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
-    """Each observation's ``calculus`` terms, one per disease, memoized on the knowledge base.
-    Two paths: if every observation is memoized and no feature repeats, read the memo, since a
-    memoized finding was checked when compiled.  Otherwise check every observation in order, then
-    compile the misses in order, each row object once per call; a compile that raises memoizes nothing."""
-    memo = kb.compiled_terms[calculus]
+    """``calculus``'s prior terms, then each observation's, from the memo of every finding's terms for
+    all three calculi.  Two paths: if every observation is memoized and no feature repeats, read the
+    memo, since a memoized finding was checked when compiled.  Otherwise check every observation in
+    order, then compile the misses in order, each row object once per call.  Last, naive
+    Dempster-Shafer rejects the first zero-marginal finding, on every call that reaches it."""
+    memo = kb.compiled_terms
     try:
         found = list(map(memo.get, observations))
-        if None not in found and len(set(map(attrgetter("feature"), observations))) == len(found):
-            return found
+        hit = None not in found and len(set(map(attrgetter("feature"), observations))) == len(found)
     except (TypeError, AttributeError):  # not an observation, or an unhashable field: checked below
-        pass
-    seen: set[str] = set()
-    for obs in observations:
-        _check_observation(kb, obs, seen)
-    _, compile_terms, _ = _STEPS[calculus]
-    found, by_row = [], {}
-    for obs in observations:
-        if (terms := memo.get(obs)) is None:
-            row = kb.vectors[obs.feature][obs.value]
-            if (terms := by_row.get(id(row))) is None:
-                terms = by_row[id(row)] = compile_terms(kb, obs, row)
-            memo[obs] = terms
-        found.append(terms)
-    return found
+        hit = False
+    if not hit:
+        seen: set[str] = set()
+        for obs in observations:
+            _check_observation(kb, obs, seen)
+        priors, complements, _ = _priors(kb)
+        found, by_row = [], {}
+        for obs in observations:
+            if (terms := memo.get(obs)) is None:
+                row = kb.vectors[obs.feature][obs.value]
+                if (terms := by_row.get(id(row))) is None:
+                    terms = by_row[id(row)] = _finding_terms(row, priors, complements)
+                memo[obs] = terms
+            found.append(terms)
+    column = CALCULI.index(calculus)
+    found = [terms[column] for terms in found]
+    if None in found:  # a zero marginal, for which no evoking strength exists
+        evoking_strength(kb, observations[found.index(None)])  # raises ZeroMarginal
+    return [_priors(kb)[2][column], *found]
 
 
 def _infer(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> BeliefDistribution:
     """``calculus`` on ``observations``: its combine step on the column sums of its prior and finding terms."""
-    _, _, combine = _STEPS[calculus]
-    return combine(kb, _column_sums(_priors(kb, calculus), *_compiled(kb, calculus, observations)))
+    return _STEPS[calculus][1](kb, _column_sums(*_compiled(kb, calculus, observations)))
 
 
 def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[BeliefDistribution]:
     """``calculus`` on ``observations[:n]`` for n = 1..len(observations), in O(D*n): each
     observation is checked and compiled once, all before any prefix is combined, and
     ``_prefix_sums`` gives every prefix's column sums."""
-    _, _, combine = _STEPS[calculus]
-    compiled = _compiled(kb, calculus, observations)
-    return [combine(kb, sums) for sums in _prefix_sums([_priors(kb, calculus), *compiled])[1:]]
+    combine = _STEPS[calculus][1]
+    return [combine(kb, sums) for sums in _prefix_sums(_compiled(kb, calculus, observations))[1:]]
 
 
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
@@ -245,7 +242,7 @@ def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> Beli
 
 def marginal(kb: KnowledgeBase, obs: Observation) -> float:
     """p(obs) = sum over diseases of p(obs | d) * p(d)."""
-    return _marginal(kb, _row(kb, obs))
+    return min(_weighted(kb, obs)[1], 1.0)
 
 
 def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -> float:
@@ -253,14 +250,13 @@ def negation_conditional(kb: KnowledgeBase, obs: Observation, disease_id: str) -
 
     Computed as (p(obs) - p(obs|d) p(d)) / (1 - p(d)), capped at 1.
     """
-    row = _row(kb, obs)
+    weighted, z = _weighted(kb, obs)
     disease = kb.disease_index.get(disease_id)
     if disease is None:
         raise UnknownDisease(f"unknown disease '{disease_id}'")
     if disease.prior >= 1.0 - _PRIOR_ONE_TOL:
         raise DegeneratePrior(f"disease '{disease_id}' has prior 1; negation is empty")
-    p = row[kb.diseases.index(disease)]
-    return _negation(_marginal(kb, row), p, disease.prior)
+    return min((min(z, 1.0) - weighted[kb.diseases.index(disease)]) / (1.0 - disease.prior), 1.0)
 
 
 def odds_likelihood(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:
@@ -288,8 +284,10 @@ def evoking_strength(kb: KnowledgeBase, obs: Observation) -> dict[str, float]:
     Bayes' theorem over the exhaustive disease set for one observation.
     The rest of each disease's mass sits on its whole two-element frame.
     """
-    row = _row(kb, obs)
-    return {d.id: m for d, m in zip(kb.diseases, _evoking(kb, obs, row))}
+    weighted, z = _weighted(kb, obs)
+    if z <= 0.0:
+        raise ZeroMarginal(f"observation ('{obs.feature}', '{obs.value}') has zero marginal probability")
+    return {d.id: w / z for d, w in zip(kb.diseases, weighted)}
 
 
 def cf_parallel_combine(x: float, y: float) -> float:

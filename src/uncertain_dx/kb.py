@@ -14,8 +14,8 @@ into the ``vectors`` that validation and the engine read; a loaded or
 replicated table's ``entries`` are a read-only ``Mapping`` over its vectors.
 Changing a code-built dict afterwards is unsupported; build a new knowledge
 base with ``dataclasses.replace``.  ``KnowledgeBase.compiled_terms``, the
-engine's memos, fill in any order, so sharing stays safe.  An ``Observation``
-is a named tuple, equal to its ``(feature, value)`` tuple, and keys memos.
+engine's memo, fills in any order, so sharing stays safe.  An ``Observation``
+is a named tuple, equal to its ``(feature, value)`` tuple, and keys the memo.
 
 File formats (UTF-8 JSON):
 
@@ -168,10 +168,10 @@ class KnowledgeBase:
                 for f in self.features}
 
     @cached_property
-    def compiled_terms(self) -> dict[str, dict]:
-        """The engine's memos: each calculus in ``CALCULI`` maps an observation to its
-        terms, one per disease, and "prior" maps a calculus to its prior terms."""
-        return {key: {} for key in ("prior", *CALCULI)}
+    def compiled_terms(self) -> dict:
+        """The engine's one memo: each observation maps to its terms for the calculi in
+        ``CALCULI`` order, one per disease, and "prior" to the prior vectors and terms."""
+        return {}
 
     def prior(self, disease_id: str) -> float:
         return self.disease_index[disease_id].prior

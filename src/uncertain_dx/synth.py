@@ -1,11 +1,11 @@
 """Synthetic knowledge bases and brute-force oracles for desk-scale checks.
 
-The replicated-evidence construction builds a knowledge base in which
-every feature is an independent copy of the same binary evidence token,
-sharing one "present" and one "absent" row object, which the engine compiles
-once per call.  So the behavior of each inference method under growing
-evidence can be inspected exactly and cheaply: the simple-Bayes posterior
-concentrates on the best-supported hypothesis, while renormalized
+The replicated-evidence construction builds a knowledge base in which every
+feature is an independent copy of the same binary evidence token, sharing
+one "present" and one "absent" row object, which the engine compiles once
+for all three calculi.  So the behavior of each inference method under
+growing evidence can be inspected exactly and cheaply: the simple-Bayes
+posterior concentrates on the best-supported hypothesis, while renormalized
 odds-likelihood washes out differences between every hypothesis whose
 evidence is confirmatory on balance.
 
@@ -137,7 +137,7 @@ def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
 
     Builds one knowledge base of ``spec.n`` tokens and runs each calculus once
     on all of it: step n is its first n observations, the n-token result.
-    Tokens share one row object, which each calculus compiles once, so
+    Tokens share one row object, compiled once for all three calculi, so
     simple Bayes and naive Dempster-Shafer fail at step 1 if at all, and
     odds-likelihood later only if neither does: each trajectory in turn
     raises what a step-by-step run raises.  Returns the full trajectory so

@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -530,6 +531,21 @@ EDGE_RAISES = {
 }
 
 
+def test_prior_one_tolerance_is_pinned_by_literal_priors():
+    """A prior 5e-13 below 1 counts as 1: its negation is empty and
+    odds-likelihood rules its disease in.  One 1e-10 below 1 does not.
+    Literal priors, so the test cannot follow a change of the constant."""
+    obs = Observation("f0", "v0")
+    kb = table_kb((1.0 - 5e-13, 5e-13), [[(0.3, 0.7), (0.8, 0.2)]])
+    with pytest.raises(DegeneratePrior):
+        negation_conditional(kb, obs, "d0")
+    assert odds_likelihood(kb, [obs]).beliefs == {"d0": 1.0, "d1": 0.0}
+    kb = table_kb((1.0 - 1e-10, 1e-10), [[(0.3, 0.7), (0.8, 0.2)]])
+    assert math.isfinite(negation_conditional(kb, obs, "d0"))
+    beliefs = odds_likelihood(kb, [obs]).beliefs
+    assert beliefs["d0"] < 1.0 and beliefs["d1"] > 0.0
+
+
 @pytest.mark.parametrize("case", EDGE_CASES)
 @pytest.mark.parametrize(
     "method, oracle",
@@ -571,9 +587,9 @@ def test_edge_paths_match_exact_oracles(case, method, oracle):
     ids=["naive_dempster_shafer", "evoking_strength"],
 )
 def test_memoized_failure_raises_again(method, case, error):
-    """An error met while compiling a finding's terms is raised on every
-    call that reaches it, with the same message, reading no table entry:
-    the table was read at construction, and the failure is not memoized."""
+    """An error met in a finding's terms is raised on every call that
+    reaches it, with the same message, reading no table entry: the table
+    was read at construction, and the memo keeps terms, not errors."""
     kb, observations = case()
     entries = _CountingEntries(kb.conditionals.entries)
     kb = replace(kb, conditionals=ConditionalTable(entries))
@@ -586,39 +602,47 @@ def test_memoized_failure_raises_again(method, case, error):
     assert not entries.reads
 
 
-def _counted_compiles(monkeypatch) -> list:
-    """Wrap each calculus's compile step in ``engine._STEPS``; the list gets every row compiled."""
-    rows = []
-    for calculus, (prior_term, compile_terms, combine) in list(engine._STEPS.items()):
-        def counted(kb, obs, row, compile_terms=compile_terms):
-            rows.append(row)
-            return compile_terms(kb, obs, row)
+def _counted_compiles(monkeypatch) -> tuple[list, list]:
+    """Wrap ``engine._finding_terms`` and ``engine._check_observation``: the first
+    list gets every row compiled, the second every observation checked."""
+    rows, checked = [], []
 
-        monkeypatch.setitem(engine._STEPS, calculus, (prior_term, counted, combine))
-    return rows
+    def counted(row, *prior_vectors, compile_terms=engine._finding_terms):
+        rows.append(row)
+        return compile_terms(row, *prior_vectors)
+
+    def counted_check(kb, obs, seen, check=engine._check_observation):
+        checked.append(obs)
+        return check(kb, obs, seen)
+
+    monkeypatch.setattr(engine, "_finding_terms", counted)
+    monkeypatch.setattr(engine, "_check_observation", counted_check)
+    return rows, checked
 
 
-def test_probe_compiles_the_shared_row_once_per_calculus(monkeypatch):
-    """The golden probe's 100 tokens share one "present" row object, so one
-    probe compiles 3 rows, one per calculus, not 300."""
-    compiled = _counted_compiles(monkeypatch)
+def test_probe_compiles_the_shared_row_once(monkeypatch):
+    """The golden probe's 100 tokens share one "present" row object, and one
+    compile serves all three calculi, so one probe compiles 1 row, not 300, and
+    checks each of its 100 observations once: the second and third calculus
+    read the memo."""
+    compiled, checked = _counted_compiles(monkeypatch)
     points = convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
     assert len(points) == 100
-    assert len(compiled) == 3
-    assert all(row is compiled[0] for row in compiled)
+    assert len(compiled) == 1
+    assert len(checked) == 100 and len(set(checked)) == 100
 
 
 def test_distinct_rows_compile_once_per_finding(monkeypatch):
     """A knowledge base with a row object per finding compiles each observed
-    finding once per calculus, and a warm call compiles nothing."""
+    finding once for all three calculi, and a warm call compiles nothing."""
     rng = random.Random(5)
     kb = random_kb(rng, n_diseases=6, n_features=8)
     observations = random_observations(rng, kb, 7)
-    compiled = _counted_compiles(monkeypatch)
+    compiled, checked = _counted_compiles(monkeypatch)
     first = all_three_calculi(kb, observations)
-    assert len(compiled) == 3 * 7
+    assert len(compiled) == 7 and len(checked) == 7
     assert all_three_calculi(kb, observations) == first
-    assert len(compiled) == 3 * 7
+    assert len(compiled) == 7 and len(checked) == 7
 
 
 def test_shared_row_failure_names_the_first_observation():
@@ -764,6 +788,33 @@ def _with_zero_marginal_feature(kb):
         entries[("zero", "v0", d.id)], entries[("zero", "v1", d.id)] = 0.0, 1.0
     zero = Feature(id="zero", name="zero", values=("v0", "v1"))
     return replace(kb, features=(*kb.features, zero), conditionals=ConditionalTable(entries))
+
+
+def test_each_calculus_owns_its_errors_in_every_order():
+    """The three calculi share one compile per finding, yet in each of the 6
+    orders of ``CALCULI`` each gives what the row-by-row reference in
+    support.py gives, bit for bit, or the same error class and message: on
+    one warm knowledge base and on a fresh copy of it.  A zero marginal is
+    naive Dempster-Shafer's error alone; an unknown finding before or after
+    it is every calculus's."""
+    rng = random.Random(26)
+    base = random_kb(rng, n_diseases=5, n_features=6)
+    known = random_observations(rng, base, 4)
+    warm = _with_zero_marginal_feature(base)
+    zero, unknown = Observation("zero", "v0"), Observation("f0", "unknown")
+    cases = [known, [*known[:2], zero, *known[2:]], [zero, unknown], [unknown, zero]]
+    references = dict(zip(CALCULI, (reference_simple_bayes, reference_odds_likelihood,
+                                    reference_naive_dempster_shafer)))
+    seen = Counter()
+    for order in permutations(CALCULI):
+        for kb in (warm, replace(warm)):
+            for observations in cases:
+                for calculus in order:
+                    outcome = _outcome(getattr(engine, calculus), kb, observations)
+                    assert outcome == _outcome(references[calculus], kb, observations), (order, calculus)
+                    seen[outcome[0] if isinstance(outcome[0], type) else "result"] += 1
+    assert set(seen) == {"result", AllHypothesesRuledOut, ZeroMarginal, UnknownObservation}, seen
+    assert seen[ZeroMarginal] == 12 and seen[UnknownObservation] == 72, seen
 
 
 _PREFIX_FAULTS = ("unknown-feature", "unknown-value", "unhashable-value", "repeated-feature", "zero-marginal")

@@ -33,7 +33,7 @@ def test_tables_follow_calculi():
     assert engine.CALCULI is CALCULI
     assert BELIEF_METHODS == (*CALCULI, "external")
     assert list(engine._STEPS) == list(CALCULI)
-    assert all(len(row) == 3 and all(map(callable, row)) for row in engine._STEPS.values())
+    assert all(len(row) == 2 and all(map(callable, row)) for row in engine._STEPS.values())
     assert list(evaluation._INFERENCE) == list(CALCULI)
     assert [f.name for f in dataclasses.fields(synth.ProbePoint)] == ["n", *CALCULI]
 
