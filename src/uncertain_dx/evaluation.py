@@ -59,8 +59,18 @@ METHODS = {
 }
 
 _INFERENCE = {name: getattr(engine, name) for name in CALCULI}
-# The fewest Monte Carlo iterations a permutation test, and so an evaluation, may run.
+# The fewest and the most Monte Carlo iterations a permutation test, and so an evaluation, may run.
 MIN_ITERATIONS = 1000
+MAX_ITERATIONS = 1_000_000
+# Maps a lane's top byte to 1 when its top bit is set, else to 0.
+_TOP_BIT = bytes(128) + b"\x01" * 128
+
+
+def _check_iterations(iterations: int) -> None:
+    if iterations < MIN_ITERATIONS:
+        raise ValueError(f"iterations must be at least {MIN_ITERATIONS}, got {iterations}")
+    if iterations > MAX_ITERATIONS:
+        raise ValueError(f"iterations must be at most {MAX_ITERATIONS}, got {iterations}")
 
 
 def check_methods(methods: Sequence[str], allowed: Collection[str]) -> None:
@@ -235,10 +245,12 @@ def permutation_test(
 
     Whether a flipped statistic, the ``math.fsum`` of the flipped weighted
     differences, reaches the observed one is decided in exact integers
-    (``_flip_sum_tables``), as summing each flip would.  Each distinct draw
-    is scored once and counts as often as it was drawn (``_flip_patterns``),
-    in one C-level pass per byte column, listing the sums after each, so no
-    chain of lazy maps (recursing in C) grows with n.
+    (``_flip_threshold``), as summing each flip would.  Each distinct draw
+    is scored once and counts as often as it was drawn (``_flip_patterns``).
+    Every draw's sum of the terms, shifted right until their range fits in 60
+    bits, sits in its own lane of one int (``_high_sum_lanes``); only draws that
+    the dropped low bits could decide, none when none drop, are scored exactly
+    (``_exact_hits``).
 
     Deterministic for a seed: each iteration's RNG stream depends only on
     (seed, iteration), and sorting by case id makes pair order irrelevant.
@@ -247,26 +259,36 @@ def permutation_test(
         raise ValueError("empty sample")
     if len(diffs) != len(weights):
         raise ValueError(f"{len(diffs)} diffs but {len(weights)} weights")
-    if iterations < MIN_ITERATIONS:
-        raise ValueError(f"iterations must be at least {MIN_ITERATIONS}, got {iterations}")
+    _check_iterations(iterations)
     if not all(map(math.isfinite, diffs)):
         raise ValueError("differences must be finite")
 
     pairs = sorted(zip(diffs, weights), key=lambda dw: (dw[1].case_id, dw[0], dw[1].weight))
     weighted = [w.weight * d for d, w in pairs]
-    tables, threshold = _flip_sum_tables(weighted, math.fsum(weighted))
+    terms, threshold = _flip_threshold(weighted, math.fsum(weighted))
+    total, lo = sum(terms), sum(a for a in terms if a < 0)
+    if threshold <= lo:
+        return 1.0  # even the smallest flipped sum hits, so every draw does
     columns, counts = _flip_patterns(len(weighted), iterations, seed)
-    sums = map(tables[0].__getitem__, columns[0])
-    for table, column in zip(tables[1:], columns[1:]):
-        sums = list(map(operator.add, sums, map(table.__getitem__, column)))
-    hits = sum(compress(counts, map(threshold.__le__, sums)))
+    shift = max(0, (total - 2 * lo).bit_length() - 60)
+    highs = [a >> shift for a in terms]
+    bound = -(-threshold >> shift)  # high parts summing to this hit whatever the low parts add
+    lanes = _high_sum_lanes(highs, columns, 2**63 - bound)
+    sure = lanes[7::8].translate(_TOP_BIT)
+    hits = sum(compress(counts, sure))
+    # High parts under bound - slack miss even with every low part (each >= 0) added, so a draw may
+    # yet hit only if its lane is in [2**63 - slack, 2**63): bit 63 clear, bits 8c to 62 set.
+    slack = bound + ((total - (sum(highs) << shift) - threshold) >> shift)
+    if slack and (2**63 - 1).to_bytes(8, "little")[(slack.bit_length() + 7) // 8 :] in lanes:
+        maybe = _high_sum_lanes(highs, columns, 2**63 - bound + slack)[7::8].translate(_TOP_BIT)
+        hits += _exact_hits(terms, threshold, columns, counts, bytes(map(operator.sub, maybe, sure)))
     return (1 + hits) / (1 + iterations)
 
 
-def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[list[int]], int]:
-    """(per-byte tables, threshold) such that a sign-flip bit pattern is a hit,
-    ``math.fsum(flipped) >= observed``, exactly when the table entries its
-    bytes select sum to at least the threshold.
+def _flip_threshold(weighted: Sequence[float], observed: float) -> tuple[list[int], int]:
+    """(terms, threshold) such that a sign-flip bit pattern is a hit,
+    ``math.fsum(flipped) >= observed``, exactly when the terms its set bits
+    select sum to at least the threshold.
 
     Each term is an exact integer a_k over one power-of-two denominator D,
     so a flip's exact sum is S / D with S = 2U - T, where T sums every a_k
@@ -274,7 +296,7 @@ def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[l
     rounding is monotone, so the hit test is S / D >= m, where m is the
     midpoint between ``observed`` and the float below it; at m itself
     round-half-even rounds to ``observed`` only when its last significand
-    bit is 0.  Table j holds U over the 256 patterns of bits 8j..8j+7.
+    bit is 0.  Unflipped, U = T, so the threshold is at most T.
     """
     terms, denominator = _exact_integers(weighted)
 
@@ -285,15 +307,41 @@ def _flip_sum_tables(weighted: Sequence[float], observed: float) -> tuple[list[l
     tie_rounds_up = int(observed / math.ulp(observed)) % 2 == 0
     s_min = math.ceil(midpoint) if tie_rounds_up else math.floor(midpoint) + 1
     # 2U - T >= s_min  <=>  U >= ceil((s_min + T) / 2)
-    threshold = -(-(s_min + sum(terms)) // 2)
+    return terms, -(-(s_min + sum(terms)) // 2)
 
-    tables = []
-    for start in range(0, len(terms), 8):
+
+def _high_sum_lanes(highs: Sequence[int], columns: Sequence[bytes], lift: int) -> bytes:
+    """Bytes of one int whose 8-byte lane k, in [0, 2**64), is lift + the ``highs`` draw k selects.
+    Each later column's 256 partial sums less its negative terms, so that none is negative, and the
+    first column's plus the lift and the later columns' negative terms, are packed into one int each
+    by doubling; eight ``bytes.translate`` calls lay byte m of each draw's entry into byte m of its
+    lane, and the columns' ints add up to the lanes."""
+    lanes = bytearray(8 * len(columns[0]))
+    packed, base = 0, lift + sum(h for h in highs if h < 0)
+    for start, column in zip(range(0, len(highs), 8), columns):
+        table, ones, base = base - sum(h for h in highs[start : start + 8] if h < 0), 1, 0
+        for i, h in enumerate(highs[start : start + 8]):
+            table += (table + h * ones) << (64 << i)
+            ones += ones << (64 << i)
+        entries = table.to_bytes(2048, "little")
+        for m in range(8):
+            lanes[m::8] = column.translate(entries[m::8])
+        packed += int.from_bytes(lanes, "little")
+    return packed.to_bytes(len(lanes), "little")
+
+
+def _exact_hits(
+    terms: Sequence[int], threshold: int, columns: Sequence[bytes], counts: Sequence[int], unsure: bytes
+) -> int:
+    """The summed counts of the draws flagged ``unsure`` whose bits select ``terms`` summing to at
+    least the threshold: per column, one C-level pass adds entries of its 8 terms' table of sums."""
+    sums = [0] * unsure.count(1)
+    for start, column in zip(range(0, len(terms), 8), columns):
         table = [0]
         for a in terms[start : start + 8]:
             table += [u + a for u in table]
-        tables.append(table)
-    return tables, threshold
+        sums = list(map(operator.add, sums, map(table.__getitem__, compress(column, unsure))))
+    return sum(compress(compress(counts, unsure), map(threshold.__le__, sums)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -420,8 +468,7 @@ def evaluate_methods(
         names = " or ".join(f"'{source}'" for source in GOLD_SOURCES)
         raise ValueError(f"gold source must be {names}, got {gold_source!r}")
     check_methods(methods, METHODS)
-    if iterations < MIN_ITERATIONS:
-        raise ValueError(f"iterations must be at least {MIN_ITERATIONS}, got {iterations}")
+    _check_iterations(iterations)
     ordered_methods = [m for m in METHODS if m in methods]
     needed_calculi = [c for c in CALCULI if any(METHODS[m][1] == c for m in ordered_methods)]
 

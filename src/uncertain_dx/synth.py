@@ -41,6 +41,8 @@ simple_bayes, odds_likelihood, naive_dempster_shafer = (partial(_prefixes, calcu
 
 # The oracle exists to be trusted, so it stays small and simple.
 ORACLE_MAX_DISEASES = 64
+# The most evidence copies a spec may ask for: the probe builds a feature per copy.
+MAX_COPIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class ReplicatedEvidenceSpec:
             raise ValueError(f"priors must sum to 1, got {math.fsum(self.priors)!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.n > MAX_COPIES:
+            raise ValueError(f"n must be at most {MAX_COPIES}, got {self.n}")
 
     @classmethod
     def uniform(cls, likelihoods: Sequence[float], n: int) -> "ReplicatedEvidenceSpec":

@@ -249,6 +249,11 @@ def kb_with_observations(draw, max_observations=4, **kb_kwargs):
     return kb, observations
 
 
+def never_called(*args, **kwargs):
+    """A stand-in for a step that must not run, such as a draw or a build past a cap."""
+    raise AssertionError("called")
+
+
 def reference_permutation_test(
     diffs: Sequence[float], weights: Sequence[CaseWeight], iterations: int, seed: int
 ) -> float:

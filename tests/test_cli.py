@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uncertain_dx import cli
+from support import never_called, reference_permutation_test
+
+from uncertain_dx import cli, evaluation, synth
 from uncertain_dx.cli import _one_line, _plain_args, build_parser, main
 
 KB = "tests/data/fixture_kb.json"
@@ -447,6 +449,23 @@ class TestEvaluateCommand:
     def test_unknown_method_exits_2(self, capsys):
         assert main(EVALUATE + ["--methods", "tea_leaves"]) == 2
 
+    def test_default_iterations_match_the_fsum_reference(self, monkeypatch, capsys):
+        """Every golden runs 2,000 iterations; at the default 10,000 the report is the
+        one that a ``math.fsum`` per iteration gives, byte for byte."""
+        args = EVALUATE[: EVALUATE.index("--iterations")]
+        assert main(args) == 0
+        report = capsys.readouterr().out
+        assert "\tmonte_carlo_permutation\t" in report and "\t7\t10000\n" in report
+        monkeypatch.setattr(evaluation, "permutation_test", reference_permutation_test)
+        assert main(args) == 0
+        assert capsys.readouterr().out == report
+
+    def test_iterations_above_the_cap_exit_2_before_the_draw(self, monkeypatch, capsys):
+        monkeypatch.setattr(evaluation, "_flip_patterns", never_called)
+        args = EVALUATE[: EVALUATE.index("--iterations")]
+        assert main(args + ["--iterations", str(evaluation.MAX_ITERATIONS + 1)]) == 2
+        assert capsys.readouterr() == ("", "ValueError: iterations must be at most 1000000, got 1000001\n")
+
     def test_help_lists_the_golden_report_columns(self, monkeypatch, capsys, data_dir):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit):
@@ -482,6 +501,11 @@ class TestProbeCommand:
     def test_n_max_zero_exits_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8,0.6,0.2", "--n-max", "0"]) == 2
         assert capsys.readouterr().err == "ValueError: n must be at least 1, got 0\n"
+
+    def test_n_max_above_the_cap_exits_2_before_any_kb(self, monkeypatch, capsys):
+        monkeypatch.setattr(synth, "replicate_evidence_kb", never_called)
+        assert main(["probe", "--likelihoods", "0.8,0.2", "--n-max", str(synth.MAX_COPIES + 1)]) == 2
+        assert capsys.readouterr() == ("", "ValueError: n must be at most 100000, got 100001\n")
 
     def test_bad_priors_exit_2(self, capsys):
         assert main(["probe", "--likelihoods", "0.8,0.2", "--priors", "0.9,0.2", "--n-max", "2"]) == 2

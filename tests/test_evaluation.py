@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import random_kb, reference_meu_diagnosis, reference_permutation_test, reference_rating_pass
+from support import never_called, random_kb, reference_meu_diagnosis, reference_permutation_test, reference_rating_pass
 
 from uncertain_dx import evaluation
 from uncertain_dx.decision import UtilityMatrix, expected_class_disutility, max_belief_diagnosis, meu_diagnosis
@@ -272,6 +272,59 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="1000"):
             permutation_test([1.0], uniform_weights(1), iterations=999, seed=0)
 
+    def test_iteration_cap_is_checked_before_the_draw(self, monkeypatch):
+        """One past the cap is rejected before any draw; the cap itself passes the check
+        (it is not run: the draw alone would take seconds)."""
+        monkeypatch.setattr(evaluation, "_flip_patterns", never_called)
+        with pytest.raises(ValueError, match=r"^iterations must be at most 1000000, got 1000001$"):
+            permutation_test([1.0], uniform_weights(1), iterations=evaluation.MAX_ITERATIONS + 1, seed=0)
+        evaluation._check_iterations(evaluation.MAX_ITERATIONS)
+
+    @pytest.mark.parametrize("diffs", [[0.0] * 5, [-1.0, -2.5, -1e-300, -3000.0]])
+    def test_every_draw_hits_without_a_draw(self, diffs, monkeypatch):
+        """When even the sum of the negative terms reaches the threshold, every flip hits,
+        and the ASL is 1 before any sign flip is drawn."""
+        monkeypatch.setattr(evaluation, "_flip_patterns", never_called)
+        assert permutation_test(diffs, uniform_weights(len(diffs)), iterations=1000, seed=0) == 1.0
+
+    @pytest.fixture
+    def exact_draws(self, monkeypatch):
+        """How many draws each call of the exact-table fallback scores."""
+        scored = []
+        exact_hits = evaluation._exact_hits
+
+        def counting(terms, threshold, columns, counts, unsure):
+            scored.append(unsure.count(1))
+            return exact_hits(terms, threshold, columns, counts, unsure)
+
+        monkeypatch.setattr(evaluation, "_exact_hits", counting)
+        return scored
+
+    def test_exact_fallback_scores_only_draws_the_high_parts_leave_open(
+        self, exact_draws, fixture_kb, fixture_cases, fixture_utilities
+    ):
+        """The lanes decide every draw of the fixture's six tests and of a 24-case sample
+        whose integer range is under 2**60; high parts that tie leave some to the exact
+        tables.  A count that sent every draw to the tables would keep every ASL."""
+        report = evaluate_methods(
+            fixture_kb, fixture_cases, fixture_utilities, list(evaluation.METHODS), "informed", seed=7, iterations=2000
+        )
+        assert sum(r.test == "monte_carlo_permutation" for r in report.significance) == 6
+        assert sum(exact_draws) == 0
+
+        diffs = [1000.0 * (k % 5 - 2) + k / 2**44 for k in range(24)]
+        weights = [CaseWeight(f"c{i:02d}", 1 / 32) for i in range(24)]
+        terms, _ = evaluation._flip_threshold([w.weight * d for d, w in zip(diffs, weights)], 0.0)
+        assert 2**58 <= sum(map(abs, terms)) < 2**60
+        expected = reference_permutation_test(diffs, weights, 2000, 3)
+        assert 0.0 < permutation_test(diffs, weights, 2000, 3) == expected < 1.0
+        assert sum(exact_draws) == 0
+
+        # Flips of the two 1e300 terms cancel in the high parts, leaving the subnormals to decide.
+        diffs, weights = [1e300, -1e300, 5e-324, 5e-324], [CaseWeight(f"c{i}", 1.0) for i in range(4)]
+        assert permutation_test(diffs, weights, 1000, 0) == reference_permutation_test(diffs, weights, 1000, 0)
+        assert sum(exact_draws) > 0
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             permutation_test([], [], iterations=1000, seed=0)
@@ -335,6 +388,14 @@ class TestPermutationTest:
     @example(sample=([float(k) - 12.0 for k in range(25)], [1 / 25] * 25), seed=1, iterations=1000)
     # Five byte columns of flip bits, with an odd iteration count.
     @example(sample=([1000.0 * (k % 7 - 3) for k in range(40)], [1 / 40] * 40), seed=2, iterations=1001)
+    # The threshold is at most the sum of the negative terms: every draw hits before any lane is built.
+    @example(sample=([0.0] * 5, [0.2] * 5), seed=0, iterations=1000)
+    @example(sample=([-1.0, -2.5, -1e-300, -3000.0], [0.25] * 4), seed=1, iterations=1000)
+    # Integer ranges 2**60 - 1 and 2**60: the first fills the lanes unshifted, the second shifts by 1.
+    @example(sample=([2.0**60 - 2**10, 500.0, 300.0, 200.0, -20.0, -3.0], [1.0] * 6), seed=0, iterations=1000)
+    @example(sample=([2.0**60 - 2**10, 500.0, 300.0, 200.0, -20.0, -4.0], [1.0] * 6), seed=0, iterations=1000)
+    # The 1e300 terms' high parts tie when their flips cancel, so the exact tables score those draws.
+    @example(sample=([1e300, -1e300, 5e-324, 5e-324], [1.0] * 4), seed=0, iterations=1000)
     def test_matches_the_fsum_reference(self, sample, seed, iterations):
         """The exact-integer hit rule finds the same hits as one ``math.fsum``
         per iteration, so every ASL equals the reference's."""

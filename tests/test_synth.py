@@ -13,6 +13,7 @@ from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_b
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
 from uncertain_dx.kb import CALCULI, load_kb, serialize_kb, validate_kb
 from uncertain_dx.synth import (
+    MAX_COPIES,
     ReplicatedEvidenceSpec,
     brute_force_posterior,
     convergence_probe,
@@ -29,12 +30,17 @@ class TestReplicatedEvidenceSpec:
         assert spec.priors == (1 / 3, 1 / 3, 1 / 3)
         assert spec.n == 5
 
+    def test_the_cap_itself_is_a_valid_spec(self):
+        """A spec is only its numbers; building one at the cap builds no knowledge base."""
+        assert ReplicatedEvidenceSpec.uniform((0.8, 0.2), n=MAX_COPIES).n == 100_000
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
             (dict(likelihoods=(0.8, 1.2), priors=(0.5, 0.5), n=1), "likelihoods"),
             (dict(likelihoods=(0.8, 0.2), priors=(0.5, 0.4), n=1), "sum to 1"),
             (dict(likelihoods=(0.8, 0.2), priors=(0.5, 0.5), n=0), "at least 1"),
+            (dict(likelihoods=(0.8, 0.2), priors=(0.5, 0.5), n=100_001), "at most 100000"),
             (dict(likelihoods=(0.8,), priors=(0.5, 0.5), n=1), "priors"),
             (dict(likelihoods=(), priors=(), n=1), "hypothesis"),
             (dict(likelihoods=(0.8, 0.2), priors=(1.0, 0.0), n=1), "positive"),
