@@ -25,7 +25,6 @@ import operator
 import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, compress, groupby
 from typing import Collection, Sequence
 
@@ -302,10 +301,10 @@ def _flip_threshold(weighted: Sequence[float], observed: float) -> tuple[list[in
 
     below = math.nextafter(observed, -math.inf)
     # Below the most negative float, rounding behaves as if the next value were -2**1024.
-    low = Fraction(below) if math.isfinite(below) else Fraction(-(2**1024))
-    midpoint = (low + Fraction(observed)) / 2 * denominator
+    (p, q), (r, t) = observed.as_integer_ratio(), below.as_integer_ratio() if below > -math.inf else (-(2**1024), 1)
+    numerator, scale = (p * t + r * q) * denominator, 2 * q * t  # m * D = numerator / scale
     tie_rounds_up = int(observed / math.ulp(observed)) % 2 == 0
-    s_min = math.ceil(midpoint) if tie_rounds_up else math.floor(midpoint) + 1
+    s_min = -(-numerator // scale) if tie_rounds_up else numerator // scale + 1
     # 2U - T >= s_min  <=>  U >= ceil((s_min + T) / 2)
     return terms, -(-(s_min + sum(terms)) // 2)
 

@@ -42,7 +42,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, product, repeat, starmap
 from operator import sub
@@ -346,15 +345,21 @@ def _table_violations(
 
 
 def _fsum(values: Sequence[float]) -> float:
-    """``math.fsum``, except that inf + -inf reads as nan and a sum that
-    overflows as an infinity of its sign: neither lies within any tolerance of 1."""
+    """``math.fsum``, except that inf + -inf reads as nan and a sum past the float
+    range as an infinity of its sign: neither lies within any tolerance of 1."""
     try:
         return math.fsum(values)
     except ValueError:  # inf + -inf
         return math.nan
-    except OverflowError:  # past the float range; an inf or nan summand still decides
+    except OverflowError:  # a partial sum or an int summand left the float range, not always the sum
         special = [v for v in values if not -math.inf < v < math.inf]
-        return sum(special) if special else (math.inf if sum(map(Fraction, values)) >= 0 else -math.inf)
+        if special:  # an inf or nan summand still decides
+            return sum(special)
+        ints, denominator = _exact_integers(values)
+        try:
+            return sum(ints) / denominator  # int / int rounds correctly, as fsum does
+        except OverflowError:
+            return math.inf if sum(ints) > 0 else -math.inf
 
 
 def _exact_integers(values: Sequence[float]) -> tuple[list[int], int]:

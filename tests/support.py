@@ -281,6 +281,32 @@ def reference_permutation_test(
     return (1 + hits) / (1 + iterations)
 
 
+def reference_flip_threshold(weighted: Sequence[float], observed: float) -> tuple[list[int], int]:
+    """``evaluation._flip_threshold`` in ``Fraction`` arithmetic: the exact
+    terms over the largest denominator D of the weighted values, and the
+    least U (the sum of the terms a draw keeps) whose flipped sum
+    (2U - T) / D rounds to at least ``observed`` under round-half-even."""
+    denominator = max(Fraction(w).denominator for w in weighted)
+    terms = [int(Fraction(w) * denominator) for w in weighted]
+    below = math.nextafter(observed, -math.inf)
+    # Below the most negative float, rounding behaves as if the next value were -2**1024.
+    low = Fraction(below) if math.isfinite(below) else Fraction(-(2**1024))
+    midpoint = (low + Fraction(observed)) / 2 * denominator
+    tie_rounds_up = int(observed / math.ulp(observed)) % 2 == 0
+    s_min = math.ceil(midpoint) if tie_rounds_up else math.floor(midpoint) + 1
+    return terms, math.ceil(Fraction(s_min + sum(terms), 2))
+
+
+def reference_fsum(values: Sequence[float]) -> float:
+    """The exact ``Fraction`` sum of ``values`` rounded once to a float, or
+    an infinity of its sign where that rounding leaves the float range."""
+    total = sum(map(Fraction, values))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def reference_meu_diagnosis(p: BeliefDistribution, utilities, kb: KnowledgeBase) -> str:
     """The MEU rule as a scan over the KB's diseases in id order, pricing each
     class when the scan first meets it and keeping the first strictly smaller

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 
@@ -77,3 +79,42 @@ def test_importing_the_cli_loads_no_statistics_module():
     result = subprocess.run([sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# Runs one command in a fresh interpreter, since pytest and hypothesis load ``fractions`` themselves.
+EXACT_INTEGERS_ONLY = r"""
+import contextlib, io, sys
+
+sys.path.insert(0, sys.argv[1])
+from uncertain_dx.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(code, sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
+
+FIXTURE = [
+    "--kb", str(DATA / "fixture_kb.json"), "--cases", str(DATA / "fixture_cases.json"),
+    "--utilities", str(DATA / "fixture_utilities.json"), "--seed", "7", "--iterations", "2000",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", *FIXTURE],
+        ["evaluate", *FIXTURE, "--format", "json"],
+        ["infer", "--kb", str(DATA / "fixture_kb.json"), "--cases", str(DATA / "fixture_cases.json"),
+         "--case", "c1", "--format", "json"],
+        ["probe", "--likelihoods", "0.8,0.6,0.5,0.3,0.2", "--n-max", "100"],
+    ],
+    ids=["evaluate-tsv", "evaluate-json", "infer-json", "probe"],
+)
+def test_golden_commands_load_no_second_exact_arithmetic(argv):
+    """Exact sums and the permutation threshold are integers over one power-of-two
+    denominator, so no golden command imports ``fractions``, ``decimal`` or ``numbers``."""
+    result = subprocess.run(
+        [sys.executable, "-c", EXACT_INTEGERS_ONLY, str(SRC), *argv], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n"

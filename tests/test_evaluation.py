@@ -6,13 +6,21 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import never_called, random_kb, reference_meu_diagnosis, reference_permutation_test, reference_rating_pass
+from support import (
+    never_called,
+    random_kb,
+    reference_flip_threshold,
+    reference_meu_diagnosis,
+    reference_permutation_test,
+    reference_rating_pass,
+)
 
 from uncertain_dx import evaluation
 from uncertain_dx.decision import UtilityMatrix, expected_class_disutility, max_belief_diagnosis, meu_diagnosis
@@ -403,6 +411,34 @@ class TestPermutationTest:
         weights = [CaseWeight(f"c{i:02d}", w) for i, w in enumerate(values)]
         expected = reference_permutation_test(diffs, weights, iterations, seed)
         assert permutation_test(diffs, weights, iterations, seed) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weighted=st.lists(st.integers(-3, 3).map(float) | st.floats(-1e300, 1e300), min_size=1, max_size=8),
+        observed=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    # observed 0.0: the float below it is -5e-324.
+    @example(weighted=[1.0, -1.0], observed=None)
+    # observed -max: no float lies below it, so the midpoint is taken with -2**1024.
+    @example(weighted=[-sys.float_info.max], observed=None)
+    # observed a power of two: the float below it has half its ulp.
+    @example(weighted=[0.5, 0.25, 0.25], observed=None)
+    # Every term subnormal.
+    @example(weighted=[5e-324, -1e-310, 2e-320], observed=None)
+    # Flipped sums on the midpoint below an observed whose last significand bit is odd, then even.
+    @example(weighted=[1.0, 3 * 2.0**-54, 2.0**-54], observed=None)
+    @example(weighted=[1.0, 2.0**-55, 2.0**-55], observed=None)
+    def test_flip_threshold_matches_the_fraction_reference(self, weighted, observed):
+        """The integer midpoint gives the ``Fraction`` reference's terms and
+        threshold (``observed`` None is the unflipped ``math.fsum``), and on
+        every flip pattern the threshold decides a hit as ``math.fsum`` does."""
+        observed = math.fsum(weighted) if observed is None else observed
+        terms, threshold = evaluation._flip_threshold(weighted, observed)
+        assert (terms, threshold) == reference_flip_threshold(weighted, observed)
+        for bits in range(2 ** len(weighted)):
+            kept = sum(a for k, a in enumerate(terms) if bits >> k & 1)
+            flipped = math.fsum(v if bits >> k & 1 else -v for k, v in enumerate(weighted))
+            assert (kept >= threshold) == (flipped >= observed)
 
 
 def exact_rank_sum_asl(a: list[float], b: list[float]) -> float:

@@ -7,12 +7,13 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from collections.abc import Mapping
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
@@ -20,6 +21,7 @@ from support import (
     knowledge_bases,
     random_kb,
     random_observations,
+    reference_fsum,
     reference_load_kb,
     reference_table_violations,
     with_fault,
@@ -33,6 +35,7 @@ from uncertain_dx.kb import (
     Feature,
     KnowledgeBase,
     Observation,
+    _fsum,
     _read_vectors,
     _table_violations,
     cross_product_feature,
@@ -436,13 +439,55 @@ class TestValidateKb:
                     "disease priors must sum to 1 (got -inf)",
                 ],
             ),
+            # fsum overflows on the two 1e308, but the exact sum is back in range.
+            (
+                [1e308, 1e308, -1e308],
+                [[0.8, 0.2]] * 3,
+                [
+                    "disease 'd0': prior 1e+308 exceeds 1",
+                    "disease 'd1': prior 1e+308 exceeds 1",
+                    "disease 'd2': prior must be strictly positive",
+                    "disease priors must sum to 1 (got 1e+308)",
+                ],
+            ),
+            (
+                [0.5, 0.5],
+                [[1e308, 1e308, -1e308], [0.2, 0.3, 0.5]],
+                [
+                    "conditional (f1, v1, d0): probability 1e+308 outside [0, 1]",
+                    "conditional (f1, v2, d0): probability 1e+308 outside [0, 1]",
+                    "conditional (f1, v3, d0): probability -1e+308 outside [0, 1]",
+                    "conditional row (f1, d0): sums to 1e+308, expected 1",
+                ],
+            ),
         ],
-        ids=["negative-priors", "negative-row", "overflow-then-opposite-infinities", "huge-negative-integer"],
+        ids=["negative-priors", "negative-row", "overflow-then-opposite-infinities", "huge-negative-integer",
+             "overflow-then-cancel-priors", "overflow-then-cancel-row"],
     )
     def test_overflowing_sum_keeps_its_sign(self, priors, rows, violations):
         with pytest.raises(ValidationError) as raised:
-            build_kb(priors, rows)
+            build_kb(priors, rows, values=tuple(f"v{k + 1}" for k in range(len(rows[0]))))
         assert raised.value.violations == violations
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([sys.float_info.max, -sys.float_info.max, 1e308, -1e308])
+            | st.integers(-(2**1100), 2**1100),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([1e308, 1e308, -1e308])
+    # Halfway between the largest float and 2**1024 rounds out of the float range; just below it does not.
+    @example([sys.float_info.max, 2.0**970])
+    @example([sys.float_info.max, 2.0**970, -5e-324])
+    @example([-(10**400), 10**400, 0.5])
+    def test_fsum_rounds_the_exact_sum_once(self, values):
+        """On finite summands of any magnitude ``_fsum`` is the exact sum rounded
+        once, even where a partial sum overflows, and ±inf past the float range."""
+        assert _fsum(values) == reference_fsum(values)
 
     @settings(max_examples=500, deadline=None)
     @given(tables())
