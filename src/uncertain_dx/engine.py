@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import attrgetter, mul, neg, sub, truediv
+from operator import mul, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import AllHypothesesRuledOut, DegeneratePrior, EmptyEvidence, UnknownDisease, ZeroMarginal
@@ -185,35 +185,26 @@ def _priors(kb: KnowledgeBase) -> tuple:
 
 
 def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observation]) -> list:
-    """``calculus``'s prior terms, then each observation's, from the memo of every finding's terms for
-    all three calculi.  Two paths: if every observation is memoized and no feature repeats, read the
-    memo, since a memoized finding was checked when compiled.  Otherwise check every observation in
-    order, then compile the misses in order, each row object once per call.  Last, naive
-    Dempster-Shafer rejects the first zero-marginal finding, on every call that reaches it."""
+    """``calculus``'s prior terms, then each observation's, from the memo of every finding's terms for all
+    three calculi.  Every call checks every observation in order, then compiles the misses in order, each
+    row object once per call.  Last, naive Dempster-Shafer rejects the first zero-marginal finding."""
+    seen: set[str] = set()
+    for obs in observations:
+        _check_observation(kb, obs, seen)
     memo = kb.compiled_terms
-    try:
-        found = list(map(memo.get, observations))
-        hit = None not in found and len(set(map(attrgetter("feature"), observations))) == len(found)
-    except (TypeError, AttributeError):  # not an observation, or an unhashable field: checked below
-        hit = False
-    if not hit:
-        seen: set[str] = set()
-        for obs in observations:
-            _check_observation(kb, obs, seen)
-        priors, complements, _ = _priors(kb)
-        found, by_row = [], {}
-        for obs in observations:
-            if (terms := memo.get(obs)) is None:
-                row = kb.vectors[obs.feature][obs.value]
-                if (terms := by_row.get(id(row))) is None:
-                    terms = by_row[id(row)] = _finding_terms(row, priors, complements)
-                memo[obs] = terms
-            found.append(terms)
+    priors, complements, prior_terms = _priors(kb)
     column = CALCULI.index(calculus)
-    found = [terms[column] for terms in found]
+    found, by_row = [], {}
+    for obs in observations:
+        if (terms := memo.get(obs)) is None:
+            row = kb.vectors[obs.feature][obs.value]
+            if (terms := by_row.get(id(row))) is None:
+                terms = by_row[id(row)] = _finding_terms(row, priors, complements)
+            memo[obs] = terms
+        found.append(terms[column])
     if None in found:  # a zero marginal, for which no evoking strength exists
         evoking_strength(kb, observations[found.index(None)])  # raises ZeroMarginal
-    return [_priors(kb)[2][column], *found]
+    return [prior_terms[column], *found]
 
 
 def _infer(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> BeliefDistribution:

@@ -168,8 +168,8 @@ class KnowledgeBase:
 
     @cached_property
     def compiled_terms(self) -> dict:
-        """The engine's one memo: each observation maps to its terms for the calculi in
-        ``CALCULI`` order, one per disease, and "prior" to the prior vectors and terms."""
+        """The engine's one memo, read only after a call checks its observations: each observation maps to its
+        terms for the calculi in ``CALCULI`` order, one per disease, and "prior" to the prior vectors and terms."""
         return {}
 
     def prior(self, disease_id: str) -> float:
@@ -616,11 +616,7 @@ def load_cases(source: bytes | str | os.PathLike | IO[bytes], kb: KnowledgeBase)
 
         ratings = _optional(entry, "expert_ratings", where, _object)
         if ratings is not None:
-            # A whole rating in [0, 10] converts exactly; any other value goes through _number.
-            ratings = {
-                m: float(r) if type(r) is int and 0 <= r <= 10 else _number(r, f"{where}.expert_ratings['{m}']")
-                for m, r in ratings.items()
-            }
+            ratings = {m: _number(r, f"{where}.expert_ratings['{m}']") for m, r in ratings.items()}
             violations.extend(
                 f"{where}: rating for '{m}' outside [0, 10]" for m, r in ratings.items() if not 0.0 <= r <= 10.0
             )

@@ -544,6 +544,10 @@ def test_prior_one_tolerance_is_pinned_by_literal_priors():
     assert math.isfinite(negation_conditional(kb, obs, "d0"))
     beliefs = odds_likelihood(kb, [obs]).beliefs
     assert beliefs["d0"] < 1.0 and beliefs["d1"] > 0.0
+    # Odds-likelihood's prior term: finite log odds 1e-10 below 1, infinite 1e-13 below 1.
+    p = 1 - 1e-10
+    assert engine._prior_log_odds(p) == math.log(p) - math.log1p(-p)
+    assert engine._prior_log_odds(1 - 1e-13) == math.inf
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
@@ -622,27 +626,27 @@ def _counted_compiles(monkeypatch) -> tuple[list, list]:
 
 def test_probe_compiles_the_shared_row_once(monkeypatch):
     """The golden probe's 100 tokens share one "present" row object, and one
-    compile serves all three calculi, so one probe compiles 1 row, not 300, and
-    checks each of its 100 observations once: the second and third calculus
-    read the memo."""
+    compile serves all three calculi, so one probe compiles 1 row, not 300.
+    Each calculus checks all 100 observations: 300 checks, 100 distinct."""
     compiled, checked = _counted_compiles(monkeypatch)
     points = convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
     assert len(points) == 100
     assert len(compiled) == 1
-    assert len(checked) == 100 and len(set(checked)) == 100
+    assert len(checked) == 300 and len(set(checked)) == 100
 
 
 def test_distinct_rows_compile_once_per_finding(monkeypatch):
     """A knowledge base with a row object per finding compiles each observed
-    finding once for all three calculi, and a warm call compiles nothing."""
+    finding once for all three calculi, and a warm call compiles nothing.
+    Every calculus call checks its 7 observations, warm or not."""
     rng = random.Random(5)
     kb = random_kb(rng, n_diseases=6, n_features=8)
     observations = random_observations(rng, kb, 7)
     compiled, checked = _counted_compiles(monkeypatch)
     first = all_three_calculi(kb, observations)
-    assert len(compiled) == 7 and len(checked) == 7
+    assert len(compiled) == 7 and len(checked) == 21
     assert all_three_calculi(kb, observations) == first
-    assert len(compiled) == 7 and len(checked) == 7
+    assert len(compiled) == 7 and len(checked) == 42
 
 
 def test_shared_row_failure_names_the_first_observation():

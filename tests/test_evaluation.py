@@ -729,6 +729,31 @@ class TestEvaluateMethods:
         assert by_label["Odds-likelihood"].mean == pytest.approx(7.3333333, abs=1e-6)
         assert by_label["Naive Dempster-Shafer"].mean == pytest.approx(0.6333333, abs=1e-6)
 
+    def test_rank_test_puts_the_better_rated_method_first(self, fixture_kb, fixture_cases, fixture_utilities):
+        """Odds-likelihood rated above simple Bayes, which comes first in
+        ``CALCULI``, swaps the pair: the row reads odds-likelihood first, with
+        the rank sum and ASL of its ratings against simple Bayes's."""
+        cases = [
+            dataclasses.replace(
+                c, expert_ratings={"simple_bayes": 2.0 + i, "odds_likelihood": 6.0 + i, "naive_dempster_shafer": 1.0}
+            )
+            for i, c in enumerate(fixture_cases)
+        ]
+        report = self.run(fixture_kb, cases, fixture_utilities)
+        excluded = {e.case for e in report.exclusions}
+        included = [c for c in cases if c.id not in excluded]
+        odds = [c.expert_ratings["odds_likelihood"] for c in included]
+        bayes = [c.expert_ratings["simple_bayes"] for c in included]
+        ranks = {r.comparison: r for r in report.significance if r.test == "wilcoxon_rank_sum"}
+        assert list(ranks) == [
+            "Odds-likelihood vs Simple Bayes",
+            "Simple Bayes vs Naive Dempster-Shafer",
+            "Odds-likelihood vs Naive Dempster-Shafer",
+        ]
+        row = ranks["Odds-likelihood vs Simple Bayes"]
+        assert (row.statistic, row.asl) == evaluation._rank_sum_test(odds, bayes)
+        assert row.asl < 0.5 < evaluation._rank_sum_test(bayes, odds)[1]
+
     def test_expert_section_omitted_without_ratings(self, fixture_kb, fixture_cases, fixture_utilities):
         stripped = [dataclasses.replace(c, expert_ratings=None) for c in fixture_cases]
         report = self.run(fixture_kb, stripped, fixture_utilities)
