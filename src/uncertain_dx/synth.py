@@ -118,9 +118,8 @@ def brute_force_posterior(
             f"oracle limited to {ORACLE_MAX_DISEASES} diseases, got {len(kb.diseases)}"
         )
     raw = {
-        d.id: d.prior
-        * math.prod(kb.conditionals.prob(o.feature, o.value, d.id) for o in observations)
-        for d in kb.diseases
+        d.id: d.prior * math.prod(kb.vectors[o.feature][o.value][i] for o in observations)
+        for i, d in enumerate(kb.diseases)
     }
     dist = BeliefDistribution.from_unnormalized(raw, method="external")
     # The reference is a true posterior; the raw sum is the evidence

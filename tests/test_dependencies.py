@@ -1,5 +1,7 @@
 """Zero runtime dependencies: the package imports and runs every subcommand
-with third-party imports blocked, even where numpy or scipy is installed."""
+with third-party imports blocked, even where numpy or scipy is installed.
+And the import graph is the layering: importing a module loads only the
+modules beneath it, and importing the package root loads none."""
 
 from __future__ import annotations
 
@@ -79,6 +81,48 @@ def test_importing_the_cli_loads_no_statistics_module():
     result = subprocess.run([sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# Runs in a fresh interpreter, since pytest has already imported every module of the package.
+IMPORT_ONE = r"""
+import importlib, sys
+
+sys.path.insert(0, sys.argv[1])
+module = importlib.import_module(sys.argv[2])
+print(*sorted(name.partition(".")[2] for name in sys.modules if name.startswith("uncertain_dx.")))
+print(*(name for name in dir(module) if not name.startswith("_")))
+"""
+
+
+def _import_one(module: str) -> tuple[list[str], list[str]]:
+    """The ``uncertain_dx`` submodules a fresh ``import module`` loads, and the module's public names."""
+    result = subprocess.run([sys.executable, "-c", IMPORT_ONE, str(SRC), module], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded, public = result.stdout.splitlines()
+    return loaded.split(), public.split()
+
+
+def test_the_package_root_loads_no_module_and_names_nothing():
+    """Each public name has one home, its module; the root holds only ``__version__``."""
+    assert _import_one("uncertain_dx") == ([], [])
+
+
+# What a fresh ``import uncertain_dx.<module>`` loads of the package: the module and the layers beneath it.
+LAYERS = {
+    "errors": ["errors"],
+    "kb": ["errors", "kb"],
+    "engine": ["engine", "errors", "kb"],
+    "decision": ["decision", "errors", "kb"],
+    "synth": ["engine", "errors", "kb", "synth"],
+    "evaluation": ["decision", "engine", "errors", "evaluation", "kb"],
+    "cli": ["cli", "decision", "engine", "errors", "evaluation", "kb", "synth"],
+}
+
+
+@pytest.mark.parametrize("module, loads", LAYERS.items(), ids=list(LAYERS))
+def test_importing_a_module_loads_only_the_layers_beneath_it(module, loads):
+    assert _import_one(f"uncertain_dx.{module}")[0] == loads
 
 
 # Runs one command in a fresh interpreter, since pytest and hypothesis load ``fractions`` themselves.

@@ -11,7 +11,7 @@ import pytest
 from support import random_kb, random_observations, reference_convergence_probe, reference_replicate_evidence_kb
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
-from uncertain_dx.kb import CALCULI, load_kb, serialize_kb, validate_kb
+from uncertain_dx.kb import CALCULI, load_cases, load_kb, serialize_kb, validate_kb
 from uncertain_dx.synth import (
     MAX_COPIES,
     ReplicatedEvidenceSpec,
@@ -167,6 +167,17 @@ class TestBruteForcePosterior:
         kb, _ = three_hypotheses_one_token
         dist = brute_force_posterior(kb, [])
         assert dist.beliefs["h1"] == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_reads_the_vectors_and_builds_no_dict(self, data_dir):
+        """The oracle reads ``kb.vectors``, the table the engine reads, so neither a loaded
+        nor a replicated knowledge base builds its (feature, value, disease) dict."""
+        loaded = load_kb(data_dir / "fixture_kb.json")
+        case = load_cases(data_dir / "fixture_cases.json", loaded)[0]
+        replicated = replicate_evidence_kb(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
+        for kb, observations in [(loaded, case.observations), replicated]:
+            dist = brute_force_posterior(kb, observations)
+            assert "_dict" not in vars(kb.conditionals.entries)
+            assert dist.beliefs == pytest.approx(simple_bayes(kb, observations).beliefs, abs=1e-12)
 
     def test_oracle_guard(self):
         rng = random.Random(0)
