@@ -112,14 +112,17 @@ def _column_sums(*terms: Sequence[float]) -> list[float]:
 
 
 def _prefix_sums(terms: Sequence[Sequence[float]]) -> list[tuple]:
-    """``_column_sums(*terms[:k])`` for k = 1..len(terms): a column's finite terms are integers
-    over one denominator, so one int / int per step rounds each running sum as fsum does.
-    Running counts of infinities keep ``_column_sums``' rule: any -inf, else any +inf."""
+    """``_column_sums(*terms[:k])`` for k = 1..len(terms): a column's finite terms are integers over one
+    denominator, each distinct term converted once, so one int / int per step rounds each running sum as
+    fsum does.  Running counts of infinities keep ``_column_sums``' rule: any -inf, else any +inf."""
     columns = []
     for column in zip(*terms):
-        ints, denominator = _exact_integers([t if -math.inf < t < math.inf else 0.0 for t in column])
-        sums = list(map(truediv, accumulate(ints), repeat(denominator)))
-        if math.inf in column or -math.inf in column:
+        distinct = list(dict.fromkeys(column))  # 0.0 and -0.0 share a key, and an integer: 0
+        infinite = math.inf in distinct or -math.inf in distinct
+        finite = [t if -math.inf < t < math.inf else 0.0 for t in distinct] if infinite else distinct
+        ints, denominator = _exact_integers(finite)
+        sums = list(map(truediv, accumulate(map(dict(zip(distinct, ints)).__getitem__, column)), repeat(denominator)))
+        if infinite:
             lows, highs = accumulate(map((-math.inf).__eq__, column)), accumulate(map(math.inf.__eq__, column))
             sums = [-math.inf if low else math.inf if high else s for s, low, high in zip(sums, lows, highs)]
         columns.append(sums)

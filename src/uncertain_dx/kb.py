@@ -295,14 +295,16 @@ def validate_kb(kb: KnowledgeBase) -> list[str]:
 
 def _holds(kb: KnowledgeBase) -> bool:
     """The dense-table rule over ``kb.vectors`` in three C-level passes: one entry per
-    slot, each in [0, 1], and each (feature, disease) row's fsum near 1.  A missing
-    entry, None, fails to compare.  A column starting with NaN hides the rest from
-    ``min`` and ``max``, but the NaN's row is summed first and fails."""
+    slot, each in [0, 1], and each (feature, disease) row's fsum near 1.  Features that
+    share one ``by_value`` dict, as replicated tokens do, are checked once through it.
+    A missing entry, None, fails to compare.  A column starting with NaN hides the rest
+    from ``min`` and ``max``, but the NaN's row is summed first and fails."""
     by_feature = kb.vectors.values()
-    columns = [column for by_value in by_feature for column in by_value.values()]
-    sums = map(math.fsum, chain.from_iterable(starmap(zip, map(dict.values, by_feature))))
+    distinct = {id(by_value): by_value for by_value in by_feature}.values()
+    columns = [column for by_value in distinct for column in by_value.values()]
+    sums = map(math.fsum, chain.from_iterable(starmap(zip, map(dict.values, distinct))))
     try:
-        return (len(kb.conditionals.entries) == len(kb.diseases) * len(columns)
+        return (len(kb.conditionals.entries) == len(kb.diseases) * sum(map(len, by_feature))
                 and 0.0 <= min(map(min, columns), default=0.0) and max(map(max, columns), default=0.0) <= 1.0
                 and all(map(PROB_SUM_TOL.__ge__, map(abs, map(sub, sums, repeat(1.0))))))
     except TypeError:
@@ -345,21 +347,24 @@ def _table_violations(
 
 
 def _fsum(values: Sequence[float]) -> float:
-    """``math.fsum``, except that inf + -inf reads as nan and a sum past the float
-    range as an infinity of its sign: neither lies within any tolerance of 1."""
+    """``math.fsum``, except that inf + -inf reads as nan and a sum past the float range as an infinity
+    of its sign: neither lies within any tolerance of 1.  fsum rounds each int summand to a float first,
+    so one that no float equals is summed exactly; a hypot below 2**52 leaves no such int to look for."""
     try:
-        return math.fsum(values)
+        if math.hypot(*values) < 2.0**52 or all(float(v) == v for v in values):
+            return math.fsum(values)
     except ValueError:  # inf + -inf
         return math.nan
     except OverflowError:  # a partial sum or an int summand left the float range, not always the sum
-        special = [v for v in values if not -math.inf < v < math.inf]
-        if special:  # an inf or nan summand still decides
-            return sum(special)
-        ints, denominator = _exact_integers(values)
-        try:
-            return sum(ints) / denominator  # int / int rounds correctly, as fsum does
-        except OverflowError:
-            return math.inf if sum(ints) > 0 else -math.inf
+        pass
+    special = [v for v in values if not -math.inf < v < math.inf]
+    if special:  # an inf or nan summand still decides
+        return sum(special)
+    ints, denominator = _exact_integers(values)
+    try:
+        return sum(ints) / denominator  # int / int rounds correctly, as fsum does
+    except OverflowError:
+        return math.inf if sum(ints) > 0 else -math.inf
 
 
 def _exact_integers(values: Sequence[float]) -> tuple[list[int], int]:

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
@@ -635,6 +635,23 @@ def test_probe_compiles_the_shared_row_once(monkeypatch):
     assert len(checked) == 300 and len(set(checked)) == 100
 
 
+def test_probe_converts_each_distinct_term_once(monkeypatch):
+    """The golden probe's running sums convert each column's distinct terms to
+    integers, the prior's and the shared row's: at most 2 per column of the 5
+    diseases, where converting every term takes 101.  In simple Bayes' last column
+    the prior's log 0.2 is the likelihood's, so the three calculi convert 29 terms."""
+    converted = []
+
+    def counted(values):
+        converted.append(len(values))
+        return exact_integers(values)
+
+    exact_integers = engine._exact_integers
+    monkeypatch.setattr(engine, "_exact_integers", counted)
+    convergence_probe(ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
+    assert len(converted) == 15 and max(converted) <= 2 and sum(converted) == 29
+
+
 def test_distinct_rows_compile_once_per_finding(monkeypatch):
     """A knowledge base with a row object per finding compiles each observed
     finding once for all three calculi, and a warm call compiles nothing.
@@ -948,11 +965,25 @@ _TERMS = st.one_of(
 )
 
 
+# Rows as the probe makes them: one row object repeated many times, here among other rows.
+_REPLICATED_ROWS = st.integers(1, 5).flatmap(
+    lambda d: st.lists(
+        st.tuples(st.lists(_TERMS, min_size=d, max_size=d), st.integers(1, 60)), min_size=1, max_size=4
+    ).map(lambda runs: [same for row, copies in runs for same in [row] * copies])
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda d: st.lists(st.lists(_TERMS, min_size=d, max_size=d), min_size=1, max_size=40)))
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.lists(st.lists(_TERMS, min_size=d, max_size=d), min_size=1, max_size=40))
+    | _REPLICATED_ROWS
+)
+@example([[0.5, 0.0]] + [[-0.0, -math.inf]] * 40)
+@example([[-0.0, 1e-300, -math.inf]] * 40)
 def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
     """The running integer sums give ``_column_sums``' bits on every prefix,
-    including its rule for columns holding an infinity or both."""
+    including its rule for columns holding an infinity or both, and on runs
+    of one repeated row object, whose terms are converted once."""
     want = [[x.hex() for x in engine._column_sums(*rows[:k])] for k in range(1, len(rows) + 1)]
     assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
 

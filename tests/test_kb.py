@@ -35,6 +35,7 @@ from uncertain_dx.kb import (
     Feature,
     KnowledgeBase,
     Observation,
+    _LoadedEntries,
     _fsum,
     _read_vectors,
     _table_violations,
@@ -484,6 +485,8 @@ class TestValidateKb:
     @example([sys.float_info.max, 2.0**970])
     @example([sys.float_info.max, 2.0**970, -5e-324])
     @example([-(10**400), 10**400, 0.5])
+    # An int that no float equals: fsum would round it before adding, and so round twice.
+    @example([1.0, -18014398509481031])
     def test_fsum_rounds_the_exact_sum_once(self, values):
         """On finite summands of any magnitude ``_fsum`` is the exact sum rounded
         once, even where a partial sum overflows, and ±inf past the float range."""
@@ -537,6 +540,26 @@ class TestValidateKb:
         with pytest.raises(ValidationError) as raised:
             KnowledgeBase(diseases, features, ConditionalTable(entries))
         assert raised.value.violations == reference_table_violations(features, ["d0", "d1"], entries)
+
+    @pytest.mark.parametrize(
+        "present",
+        [[1.5, 0.2], [0.8, 0.3], [0.8, 0.2 - 5e-9]],
+        ids=["above-one", "row-above-one", "row-below-one"],
+    )
+    def test_shared_bad_row_is_named_as_the_dict_table(self, present):
+        """Features that share one faulty ``by_value`` dict, checked once through it, are
+        rejected with exactly the violations of the same table given as a plain dict."""
+        diseases = tuple(Disease(f"d{i}", f"d{i}", 0.5, "c") for i in range(2))
+        features = tuple(Feature(f"e{k}", f"e{k}", ("present", "absent")) for k in range(1, 41))
+        by_value = {"present": present, "absent": [0.2, 0.8]}
+        shared = _LoadedEntries(diseases, features, dict.fromkeys([f.id for f in features], by_value))
+        entries = {(f.id, v, d.id): by_value[v][i] for f in features for v in f.values for i, d in enumerate(diseases)}
+        violations = []
+        for table in (shared, entries):
+            with pytest.raises(ValidationError) as raised:
+                KnowledgeBase(diseases, features, ConditionalTable(table))
+            violations.append(raised.value.violations)
+        assert violations[0] == violations[1] == reference_table_violations(features, ["d0", "d1"], entries)
 
     @pytest.mark.parametrize("entry", ["0.8", None, [0.8]], ids=["string", "none", "list"])
     def test_non_numeric_entry_raises_type_error(self, entry):
