@@ -6,7 +6,7 @@ Subcommands cover the full pipeline: ``validate`` checks data files,
 tables, and ``probe`` emits the replicated-evidence convergence
 trajectory as TSV.
 
-Exit codes: 0 success, 2 input or validation error, 3 inference error.
+Exit codes: 0 success, 2 input or validation error or out of memory, 3 inference error.
 Probabilities print with 6 decimal places, micromorts as integers.
 """
 
@@ -176,7 +176,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     else:
         priors = _parse_csv_floats(args.priors, "--priors")
         spec = synth.ReplicatedEvidenceSpec(likelihoods=likelihoods, priors=priors, n=args.n_max)
-    _emit(synth.probe_tsv(synth.convergence_probe(spec)), args.out)
+    _emit(synth.probe_tsv(spec), args.out)
     return EXIT_OK
 
 
@@ -309,6 +309,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InferenceError, InputError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_INFERENCE if isinstance(exc, InferenceError) else EXIT_INPUT
+    except MemoryError:  # a fixed message: str(MemoryError()) is empty
+        print("MemoryError: the command ran out of memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -26,8 +26,11 @@ row object once, so replicated tokens share their row's terms, and is O(D*O)
 for D diseases and O observations; so is ``_prefixes``, every prefix's result
 from exact integer running sums that round as fsum does.  Results and errors
 are each calculus's own, as from checking every observation and recomputing
-every term.  Results, normalized by construction, skip a file's distribution
-checks.  All functions are safe to call concurrently on shared knowledge bases.
+every term.  Combine steps and ``_prefixes`` give (beliefs in disease order,
+pre_norm_sum) rows, which become distributions only in ``_infer``, behind the
+public calculi, and in ``synth.convergence_probe``; normalized by construction,
+they skip a file's distribution checks.  All functions are safe to call
+concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -136,15 +139,15 @@ def _distribution(kb: KnowledgeBase, beliefs: Iterable[float], pre_norm_sum: flo
     return dist
 
 
-def _simple_bayes_combine(kb: KnowledgeBase, log_mass: Sequence[float]) -> BeliefDistribution:
+def _simple_bayes_combine(log_mass: Sequence[float]) -> tuple[list[float], float]:
     peak = max(log_mass)
     if peak == -math.inf:
         raise AllHypothesesRuledOut("every disease has zero posterior mass")
     unnorm = list(map(math.exp, map(sub, log_mass, repeat(peak))))
-    return _distribution(kb, map(truediv, unnorm, repeat(math.fsum(unnorm))), 1.0, "simple_bayes")
+    return list(map(truediv, unnorm, repeat(math.fsum(unnorm)))), 1.0
 
 
-def _odds_likelihood_combine(kb: KnowledgeBase, log_odds: Sequence[float]) -> BeliefDistribution:
+def _odds_likelihood_combine(log_odds: Sequence[float]) -> tuple[list[float], float]:
     # -inf rules a disease out, +inf rules it in; _sigmoid maps both to their limits.
     pre_norm = list(map(_sigmoid, log_odds))
     pre_norm_sum = math.fsum(pre_norm)
@@ -152,23 +155,23 @@ def _odds_likelihood_combine(kb: KnowledgeBase, log_odds: Sequence[float]) -> Be
     if ruled_in:
         beliefs = [1.0 / ruled_in if lo == math.inf else 0.0 for lo in log_odds]
     elif pre_norm_sum > 0.0:
-        beliefs = map(truediv, pre_norm, repeat(pre_norm_sum))
+        beliefs = list(map(truediv, pre_norm, repeat(pre_norm_sum)))
     else:
         raise AllHypothesesRuledOut("every disease has zero posterior odds")
-    return _distribution(kb, beliefs, pre_norm_sum, "odds_likelihood")
+    return beliefs, pre_norm_sum
 
 
-def _naive_dempster_shafer_combine(kb: KnowledgeBase, log_rest: Sequence[float]) -> BeliefDistribution:
+def _naive_dempster_shafer_combine(log_rest: Sequence[float]) -> tuple[list[float], float]:
     # from_unnormalized of 1 - prod(1 - m) per disease, from the log complements; -expm1(-inf) is 1.
     raw = list(map(neg, map(math.expm1, log_rest)))
     total = math.fsum(raw)
     if total <= 0.0:
         raise AllHypothesesRuledOut("all hypotheses have zero belief")
-    return _distribution(kb, [v / total + 0.0 for v in raw], total, "naive_dempster_shafer")  # -0.0 + 0.0 is 0.0
+    return [v / total + 0.0 for v in raw], total  # -0.0 + 0.0 is 0.0
 
 
-# Each calculus's row, in CALCULI's order: its term of a disease's prior (naive Dempster-Shafer's
-# priors carry no mass, log(1 - 0)) and its combine step; ``_finding_terms`` compiles all three's terms.
+# Each calculus's row, in CALCULI's order: its term of a disease's prior (naive Dempster-Shafer's priors carry
+# no mass, log(1 - 0)) and its combine step to (beliefs, pre_norm_sum); ``_finding_terms`` compiles the terms.
 _STEPS: dict[str, tuple[Callable, Callable]] = {
     "simple_bayes": (math.log, _simple_bayes_combine),  # a valid prior is positive
     "odds_likelihood": (_prior_log_odds, _odds_likelihood_combine),
@@ -212,15 +215,14 @@ def _compiled(kb: KnowledgeBase, calculus: str, observations: Sequence[Observati
 
 def _infer(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> BeliefDistribution:
     """``calculus`` on ``observations``: its combine step on the column sums of its prior and finding terms."""
-    return _STEPS[calculus][1](kb, _column_sums(*_compiled(kb, calculus, observations)))
+    return _distribution(kb, *_STEPS[calculus][1](_column_sums(*_compiled(kb, calculus, observations))), calculus)
 
 
-def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[BeliefDistribution]:
-    """``calculus`` on ``observations[:n]`` for n = 1..len(observations), in O(D*n): each
-    observation is checked and compiled once, all before any prefix is combined, and
+def _prefixes(kb: KnowledgeBase, observations: Sequence[Observation], calculus: str) -> list[tuple]:
+    """``calculus``'s (beliefs, pre_norm_sum) row on ``observations[:n]`` for n = 1..len(observations),
+    in O(D*n): each observation is checked and compiled once, all before any prefix is combined, and
     ``_prefix_sums`` gives every prefix's column sums."""
-    combine = _STEPS[calculus][1]
-    return [combine(kb, sums) for sums in _prefix_sums(_compiled(kb, calculus, observations))[1:]]
+    return list(map(_STEPS[calculus][1], _prefix_sums(_compiled(kb, calculus, observations))[1:]))
 
 
 def simple_bayes(kb: KnowledgeBase, observations: Sequence[Observation]) -> BeliefDistribution:

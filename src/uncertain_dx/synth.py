@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .engine import _prefixes
+from .engine import _distribution, _prefixes
 from .kb import (
     CALCULI,
     PROB_SUM_TOL,
@@ -35,8 +35,8 @@ from .kb import (
     validate_kb,  # unused here; bench/spans.py patches synth.validate_kb by name
 )
 
-# Each calculus on every nonempty prefix of an observation list.  convergence_probe looks these
-# up by name when it runs, so a replaced synth.<calculus> (bench/spans.py patches them) runs.
+# Each calculus's (beliefs, pre_norm_sum) row on every nonempty prefix of an observation list.  The
+# probe looks these up by name when it runs, so a replaced synth.<calculus> (bench/spans.py patches them) runs.
 simple_bayes, odds_likelihood, naive_dempster_shafer = (partial(_prefixes, calculus=c) for c in CALCULI)
 
 # The oracle exists to be trusted, so it stays small and simple.
@@ -135,28 +135,29 @@ class ProbePoint:
     naive_dempster_shafer: BeliefDistribution
 
 
-def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
-    """Run every calculus in ``CALCULI`` on 1..spec.n replicated tokens.
-
-    Builds one knowledge base of ``spec.n`` tokens and runs each calculus once
-    on all of it: step n is its first n observations, the n-token result.
-    Tokens share one row object, compiled once for all three calculi, so
-    simple Bayes and naive Dempster-Shafer fail at step 1 if at all, and
-    odds-likelihood later only if neither does: each trajectory in turn
-    raises what a step-by-step run raises.  Returns the full trajectory so
-    peakedness and washout can be plotted or asserted.
-    """
+def _trajectories(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, list[list[tuple]]]:
+    """The knowledge base of ``spec.n`` tokens and each calculus's rows on its first 1..spec.n
+    observations, the n-token results.  Tokens share one row object, compiled once for all three
+    calculi, so simple Bayes and naive Dempster-Shafer fail at step 1 if at all, and odds-likelihood
+    later only if neither does: each trajectory in turn raises what a step-by-step run raises."""
     kb, observations = replicate_evidence_kb(spec)
-    trajectories = [globals()[name](kb, observations) for name in CALCULI]
-    return [ProbePoint(n, **dict(zip(CALCULI, step))) for n, step in enumerate(zip(*trajectories), 1)]
+    return kb, [globals()[name](kb, observations) for name in CALCULI]
 
 
-def probe_tsv(points: Sequence[ProbePoint]) -> str:
-    """Trajectory as TSV with columns n, method, disease, belief."""
-    lines = ["n\tmethod\tdisease\tbelief"]
-    for point in points:
-        for method in CALCULI:
-            dist: BeliefDistribution = getattr(point, method)
-            for disease, belief in dist.beliefs.items():
-                lines.append(f"{point.n}\t{method}\t{disease}\t{belief:.6f}")
-    return "\n".join(lines) + "\n"
+def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
+    """Every calculus in ``CALCULI`` on 1..spec.n replicated tokens: the full trajectory, to plot or assert on."""
+    kb, trajectories = _trajectories(spec)
+    return [ProbePoint(n, *(_distribution(kb, *row, name) for row, name in zip(step, CALCULI)))
+            for n, step in enumerate(zip(*trajectories), 1)]
+
+
+def probe_tsv(spec: ReplicatedEvidenceSpec) -> str:
+    """``convergence_probe(spec)`` as TSV with columns n, method, disease, belief, formatted
+    straight from each step's rows by one template of every (method, disease) line."""
+    kb, trajectories = _trajectories(spec)
+    heads = [f"\t{method}\t{disease}\t" for method in CALCULI for disease in kb.disease_index]  # no brace in h1..hm
+    step_lines = "".join(f"{{0}}{head}{{{i}:.6f}}\n" for i, head in enumerate(heads, 1)).format
+    text = ["n\tmethod\tdisease\tbelief\n"]
+    for n, step in enumerate(zip(*trajectories), 1):
+        text.append(step_lines(n, *[belief for beliefs, _ in step for belief in beliefs]))
+    return "".join(text)

@@ -636,3 +636,15 @@ def reference_convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint
         ProbePoint(n=n, **{name: calculi[name](kb, observations[:n]) for name in CALCULI})
         for n in range(1, spec.n + 1)
     ]
+
+
+def reference_probe_tsv(points: Sequence[ProbePoint]) -> str:
+    """A probe trajectory as TSV with columns n, method, disease, belief, one
+    line per belief of each step's distributions, read off the points."""
+    lines = ["n\tmethod\tdisease\tbelief"]
+    for point in points:
+        for method in CALCULI:
+            dist: BeliefDistribution = getattr(point, method)
+            for disease, belief in dist.beliefs.items():
+                lines.append(f"{point.n}\t{method}\t{disease}\t{belief:.6f}")
+    return "\n".join(lines) + "\n"

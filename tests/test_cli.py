@@ -10,6 +10,7 @@ import re
 import shlex
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from support import never_called, reference_permutation_test
 
-from uncertain_dx import cli, evaluation, synth
+from uncertain_dx import cli, engine, evaluation, synth
 from uncertain_dx.cli import _one_line, _plain_args, build_parser, main
 
 KB = "tests/data/fixture_kb.json"
@@ -492,6 +493,39 @@ class TestProbeCommand:
         out, err = capsys.readouterr()
         assert err == ""
         assert out.encode() == (data_dir / "golden_probe.tsv").read_bytes()
+
+    def test_golden_probe_builds_no_per_step_object(self, monkeypatch, capsys, data_dir):
+        """The probe prints each step's beliefs straight from its rows: the golden
+        command wraps no row in a distribution and builds no ``ProbePoint``, where
+        ``convergence_probe`` on its spec builds 300 and 100."""
+        built = Counter()
+
+        def counting(name, build):
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+
+            return counted
+
+        distribution = counting("distribution", engine._distribution)
+        for module in (engine, synth):
+            monkeypatch.setattr(module, "_distribution", distribution, raising=False)
+        monkeypatch.setattr(synth, "ProbePoint", counting("point", synth.ProbePoint))
+        assert main(["probe", "--likelihoods", "0.8,0.6,0.5,0.3,0.2", "--n-max", "100"]) == 0
+        assert capsys.readouterr().out.encode() == (data_dir / "golden_probe.tsv").read_bytes()
+        assert (built["distribution"], built["point"]) == (0, 0)
+        synth.convergence_probe(synth.ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
+        assert (built["distribution"], built["point"]) == (300, 100)
+
+    def test_out_of_memory_exits_2_with_one_stderr_line(self, monkeypatch, capsys):
+        """``str(MemoryError())`` is empty, so the line carries a fixed message."""
+
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(synth, "probe_tsv", exhausted)
+        assert main(["probe", "--likelihoods", "0.8,0.2", "--n-max", "2"]) == 2
+        assert capsys.readouterr() == ("", "MemoryError: the command ran out of memory\n")
 
     def test_uniform_likelihoods_leave_priors(self, capsys):
         assert main(["probe", "--likelihoods", "0.5,0.5", "--n-max", "3"]) == 0

@@ -990,8 +990,9 @@ def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
 
 def test_prefixes_match_each_prefix_on_random_knowledge_bases():
     """On random and edge knowledge bases, some with a zero-marginal finding,
-    each calculus's trajectory equals its public call on every prefix, bit
-    for bit, or raises what the first failing prefix raises."""
+    each calculus's trajectory row, its beliefs in disease order and its
+    pre_norm_sum, equals its public call on every prefix, bit for bit, or
+    raises what the first failing prefix raises."""
     rng = random.Random(31)
     knowledge_bases = [random_kb(rng, rng.randint(1, 6), rng.randint(1, 6), 3) for _ in range(60)]
     knowledge_bases += [_odd_kb(rng) for _ in range(90)]
@@ -1008,9 +1009,13 @@ def test_prefixes_match_each_prefix_on_random_knowledge_bases():
                     want = want[-1]
                     break
             try:
-                got = [_outcome(lambda: d) for d in engine._prefixes(kb, observations, calculus)]
+                rows = engine._prefixes(kb, observations, calculus)
             except Exception as exc:  # the class and message are what is compared
                 got = type(exc), str(exc)
+            else:
+                assert all(len(beliefs) == len(kb.diseases) for beliefs, _ in rows)
+                got = [([(d, b.hex()) for d, b in zip(kb.disease_index, beliefs)], pre_norm_sum.hex(), calculus)
+                       for beliefs, pre_norm_sum in rows]
             assert got == want, calculus
             outcomes["error" if isinstance(want, tuple) else "result"] += 1
     assert min(outcomes.values()) >= 20, outcomes
@@ -1020,13 +1025,15 @@ def test_prefixes_match_each_prefix_on_random_knowledge_bases():
 @given(kb_with_observations(max_observations=4))
 def test_calculi_results_pass_the_checks_they_skip(kb_obs):
     """Every result the engine builds without ``BeliefDistribution``'s checks,
-    from a public calculus or a trajectory, passes them and compares equal."""
+    from a public calculus or from a trajectory's rows once ``_distribution``
+    wraps them, passes them and compares equal."""
     kb, observations = kb_obs
     results = []
     for calculus in CALCULI:
         try:
             results.append(getattr(engine, calculus)(kb, observations))
-            results += engine._prefixes(kb, observations, calculus)
+            rows = engine._prefixes(kb, observations, calculus)
+            results += [engine._distribution(kb, *row, calculus) for row in rows]
         except InferenceError:
             continue
     assert results

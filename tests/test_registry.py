@@ -70,7 +70,7 @@ def test_infer_defaults_and_help_follow_calculi(capsys):
 
 def test_probe_method_column_follows_calculi_at_every_step():
     spec = synth.ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=4)
-    rows = [line.split("\t") for line in synth.probe_tsv(synth.convergence_probe(spec)).splitlines()[1:]]
+    rows = [line.split("\t") for line in synth.probe_tsv(spec).splitlines()[1:]]
     for n in range(1, 5):
         methods = [method for step, method, _, _ in rows if step == str(n)]
         assert methods == [name for name in CALCULI for _ in range(3)]

@@ -8,7 +8,13 @@ from dataclasses import replace
 
 import pytest
 
-from support import random_kb, random_observations, reference_convergence_probe, reference_replicate_evidence_kb
+from support import (
+    random_kb,
+    random_observations,
+    reference_convergence_probe,
+    reference_probe_tsv,
+    reference_replicate_evidence_kb,
+)
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
 from uncertain_dx.kb import CALCULI, load_cases, load_kb, serialize_kb, validate_kb
@@ -259,8 +265,7 @@ class TestConvergenceProbe:
                 assert dist.beliefs["h2"] == pytest.approx(0.3, abs=1e-9)
 
     def test_probe_tsv_shape(self):
-        points = convergence_probe(SPEC_PROBE)
-        lines = probe_tsv(points).splitlines()
+        lines = probe_tsv(SPEC_PROBE).splitlines()
         assert lines[0] == "n\tmethod\tdisease\tbelief"
         assert len(lines) == 1 + 50 * 3 * 3
         assert lines[1].split("\t") == ["1", "simple_bayes", "h1", "0.500000"]
@@ -291,6 +296,18 @@ def random_probe_spec(rng: random.Random) -> ReplicatedEvidenceSpec:
     return ReplicatedEvidenceSpec(likelihoods, priors, n=rng.choice((1, 2, 3, rng.randint(4, 12), rng.randint(13, 40))))
 
 
+def tsv_outcome(spec: ReplicatedEvidenceSpec) -> tuple:
+    """``probe_tsv(spec)`` and the oracle's TSV of ``convergence_probe(spec)``:
+    each the text, or the exception's class and message."""
+    outcomes = []
+    for render in (probe_tsv, lambda spec: reference_probe_tsv(convergence_probe(spec))):
+        try:
+            outcomes.append(render(spec))
+        except Exception as exc:  # compared, not swallowed
+            outcomes.append((type(exc), str(exc)))
+    return tuple(outcomes)
+
+
 def probe_outcome(probe, spec: ReplicatedEvidenceSpec):
     """Every step's distributions as bits, or the exception's class and message."""
     try:
@@ -306,12 +323,16 @@ def probe_outcome(probe, spec: ReplicatedEvidenceSpec):
 
 class TestProbeMatchesStepByStep:
     def test_random_specs_match_bit_for_bit(self):
+        """Each step's distributions match the step-by-step oracle, and ``probe_tsv``
+        prints what the oracle TSV of those distributions prints, or raises what it raises."""
         rng = random.Random(2022)
         outcomes = set()
         for _ in range(1000):
             spec = random_probe_spec(rng)
             want = probe_outcome(reference_convergence_probe, spec)
             assert probe_outcome(convergence_probe, spec) == want, spec
+            got_tsv, want_tsv = tsv_outcome(spec)
+            assert got_tsv == want_tsv, spec
             outcomes.add(want[0] if isinstance(want, tuple) else "ok")
         assert outcomes == {"ok", AllHypothesesRuledOut, ZeroMarginal}
 
@@ -329,6 +350,8 @@ class TestProbeMatchesStepByStep:
     )
     def test_edge_specs_match_bit_for_bit(self, spec):
         assert probe_outcome(convergence_probe, spec) == probe_outcome(reference_convergence_probe, spec)
+        got_tsv, want_tsv = tsv_outcome(spec)
+        assert got_tsv == want_tsv
 
     def test_all_zero_likelihoods_raise_what_simple_bayes_raises_first(self):
         with pytest.raises(AllHypothesesRuledOut, match="^every disease has zero posterior mass$"):
