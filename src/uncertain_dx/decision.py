@@ -8,7 +8,8 @@ reported numbers read as "decrease in utility", smallest is best.
 Utilities are assessed once per equivalence class (diseases sharing
 treatment and prognosis), and the MEU rule prices the C classes, not the D
 diseases: each class's column over the diseases, built once in O(C·D),
-prices a distribution in one ``fsum`` of D products.
+prices a distribution in one ``fsum`` of D products.  That pricer is the
+only pricing path, and it is built only for a model that covers the KB.
 
 Utility file format (UTF-8 JSON)::
 
@@ -27,12 +28,14 @@ import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
+from types import MappingProxyType
 from typing import IO, Callable, Mapping
 
 from .errors import (
     FileFormatError,
     LinearityRangeExceeded,
     NonpositiveValueOfLife,
+    UnknownDisease,
     UnmappedDisease,
     ValidationError,
 )
@@ -46,13 +49,15 @@ CERTAIN_DEATH_MICROMORTS = 1e6
 
 @dataclass(frozen=True)
 class UtilityMatrix:
-    """Class-level diagnostic disutilities plus a disease-to-class map."""
+    """Class-level diagnostic disutilities plus a disease-to-class map, both kept as read-only copies."""
 
     classes: tuple[str, ...]
     class_disutility: Mapping[tuple[str, str], float]
     expansion: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "class_disutility", MappingProxyType(dict(self.class_disutility)))
+        object.__setattr__(self, "expansion", MappingProxyType(dict(self.expansion)))
         violations = []
         if len(set(self.classes)) != len(self.classes):
             violations.append("duplicate equivalence-class ids")
@@ -98,29 +103,14 @@ def max_belief_diagnosis(p: BeliefDistribution) -> str:
     return max(sorted(p.beliefs), key=p.beliefs.__getitem__)
 
 
-def expected_class_disutility(
-    p: BeliefDistribution, utilities: UtilityMatrix, diagnosed_class: str
-) -> float:
-    """Expected micromorts of diagnosing into ``diagnosed_class`` under ``p``.
-
-    Shared by the expected-utility decision rule and by rating
-    computations so that both produce bit-identical values for the same
-    diagnosis.
-    """
-    return math.fsum(
-        belief * utilities.class_disutility[(utilities.disease_class(disease), diagnosed_class)]
-        for disease, belief in p.beliefs.items()
-    )
-
-
 def meu_diagnosis(p: BeliefDistribution, utilities: UtilityMatrix, kb: KnowledgeBase) -> str:
     """The id of the disease minimizing expected disutility under ``p``.
 
     Candidates are all diseases in the knowledge base; ties go to the
     smallest disease id, so any disease within the optimal equivalence
-    class may be returned and all such choices score identically.  An
-    unmapped disease raises where a scan of the diseases in id order,
-    pricing each one's class, would meet it.
+    class may be returned and all such choices score identically.  A model
+    that leaves a KB disease unmapped raises ``UnmappedDisease``, and a
+    belief outside the KB ``UnknownDisease``, each naming the smallest id.
     """
     return _meu_pricer(utilities, kb)(p)[0]
 
@@ -129,30 +119,25 @@ def _meu_pricer(utilities: UtilityMatrix, kb: KnowledgeBase) -> Callable:
     """The MEU rule for one utility model and KB: p -> (``meu_diagnosis``'s
     pick, each class's expected disutility under p).
 
-    A class's column U(class(d), c) over the KB's diseases d prices p in one
-    ``fsum``, adding 0.0 * u per disease p omits, so only a non-finite sum
-    can differ from ``expected_class_disutility``, which prices those and
-    distributions outside the KB.
+    Building it looks up each KB disease's class, so a model that does not
+    cover the KB raises ``UnmappedDisease`` for the smallest unmapped id.  A
+    class's column U(class(d), c) over the KB's diseases d prices p in one
+    ``fsum``, adding 0.0 * u per disease p omits; a belief on a disease
+    outside the KB raises ``UnknownDisease`` for the smallest such id.
     """
     ids = sorted(kb.disease_index)
-    if not kb.disease_index.keys() <= utilities.expansion.keys():
-        # The scan raises at the smallest id or p's first unmapped disease, else the smallest unmapped id.
-        return lambda p: [expected_class_disutility(p, utilities, utilities.disease_class(d)) for d in ids]
-    firsts: dict[str, str] = {}  # each class's smallest disease id, in the scan's order
-    for d in ids:
-        firsts.setdefault(utilities.expansion[d], d)
-    columns = {c: [utilities.class_disutility[(utilities.expansion[d], c)] for d in ids] for c in firsts}
+    classes = [utilities.disease_class(d) for d in ids]
+    firsts: dict[str, str] = {}  # each class's smallest disease id
+    for d, cls in zip(ids, classes):
+        firsts.setdefault(cls, d)
+    columns = {c: [utilities.class_disutility[(cls, c)] for cls in classes] for c in firsts}
 
     def price(p: BeliefDistribution) -> tuple[str, dict[str, float]]:
-        in_kb = p.beliefs.keys() <= kb.disease_index.keys()
-        vector = list(map(p.beliefs.get, ids, repeat(0.0))) if in_kb else [math.nan] * len(ids)
+        if not p.beliefs.keys() <= kb.disease_index.keys():
+            raise UnknownDisease(f"unknown disease '{min(p.beliefs.keys() - kb.disease_index.keys())}'")
+        vector = list(map(p.beliefs.get, ids, repeat(0.0)))
         priced = {c: math.fsum(map(operator.mul, vector, column)) for c, column in columns.items()}
-        for c, value in priced.items():
-            if not math.isfinite(value):
-                priced[c] = expected_class_disutility(p, utilities, c)
-        best = min(filter(math.inf.__gt__, priced.values()), default=None)
-        if best is None:
-            raise ValueError(f"no finite expected disutility among the classes: {priced}")
+        best = min(priced.values())
         return min(d for c, d in firsts.items() if priced[c] == best), priced
 
     return price

@@ -32,7 +32,6 @@ from . import engine
 from .decision import (
     UtilityMatrix,
     _meu_pricer,
-    expected_class_disutility,
     max_belief_diagnosis,
     meu_diagnosis,  # unused here; bench/spans.py patches evaluation.meu_diagnosis by name
 )
@@ -186,10 +185,10 @@ class EvaluationReport:
 def expected_disutility(
     p_gold: BeliefDistribution, utilities: UtilityMatrix, disease: str, kb: KnowledgeBase
 ) -> float:
-    """Expected micromort loss of diagnosing ``disease`` under the gold distribution."""
+    """Expected micromort loss of diagnosing ``disease`` under the gold distribution, priced by the MEU rule."""
     if disease not in kb.disease_index:
         raise UnknownDisease(f"unknown diagnosis '{disease}'")
-    return expected_class_disutility(p_gold, utilities, utilities.disease_class(disease))
+    return _meu_pricer(utilities, kb)(p_gold)[1][utilities.expansion[disease]]
 
 
 def case_weights(cases: Sequence[CaseRecord], kb: KnowledgeBase) -> list[CaseWeight]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from uncertain_dx.decision import expected_class_disutility, max_belief_diagnosis
+from uncertain_dx.decision import max_belief_diagnosis
 from uncertain_dx.engine import _PRIOR_ONE_TOL, naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
     AllHypothesesRuledOut,
@@ -25,9 +25,10 @@ from uncertain_dx.errors import (
     FileFormatError,
     InferenceError,
     UnknownDisease,
+    UnmappedDisease,
     ZeroMarginal,
 )
-from uncertain_dx.evaluation import CaseWeight, expected_disutility
+from uncertain_dx.evaluation import CaseWeight
 from uncertain_dx.kb import (
     CALCULI,
     PROB_SUM_TOL,
@@ -307,44 +308,78 @@ def reference_fsum(values: Sequence[float]) -> float:
         return math.inf if total > 0 else -math.inf
 
 
+def reference_class_disutility(p: BeliefDistribution, utilities, diagnosed_class: str) -> float:
+    """Expected micromorts of diagnosing into ``diagnosed_class`` under ``p``:
+    one ``fsum`` over p's own beliefs, in p's order, reading the class of
+    each disease p names.  The reference for the MEU pricer's class
+    columns, which sum over the KB's diseases in id order."""
+    return math.fsum(
+        belief * utilities.class_disutility[(utilities.expansion[disease], diagnosed_class)]
+        for disease, belief in p.beliefs.items()
+    )
+
+
+def reference_expected_disutility(p_gold: BeliefDistribution, utilities, disease: str, kb: KnowledgeBase) -> float:
+    """The reference for ``evaluation.expected_disutility``, errors included."""
+    if disease not in kb.disease_index:
+        raise UnknownDisease(f"unknown diagnosis '{disease}'")
+    _reference_check_pricing(p_gold, utilities, kb)
+    return reference_class_disutility(p_gold, utilities, utilities.expansion[disease])
+
+
+def _reference_check_coverage(utilities, kb: KnowledgeBase) -> None:
+    unmapped = sorted(d.id for d in kb.diseases if d.id not in utilities.expansion)
+    if unmapped:
+        raise UnmappedDisease(f"disease '{unmapped[0]}' has no equivalence class")
+
+
+def _reference_check_pricing(p: BeliefDistribution, utilities, kb: KnowledgeBase) -> None:
+    """The MEU rule's input errors in its order: a model that does not cover
+    the KB first, then a belief on a disease outside the KB, each naming the
+    smallest such id."""
+    _reference_check_coverage(utilities, kb)
+    outside = sorted(d for d in p.beliefs if d not in kb.disease_index)
+    if outside:
+        raise UnknownDisease(f"unknown disease '{outside[0]}'")
+
+
 def reference_meu_diagnosis(p: BeliefDistribution, utilities, kb: KnowledgeBase) -> str:
     """The MEU rule as a scan over the KB's diseases in id order, pricing each
     class when the scan first meets it and keeping the first strictly smaller
     price: the reference for ``decision.meu_diagnosis``'s class columns, bit
     for bit and error for error."""
+    _reference_check_pricing(p, utilities, kb)
     best_id = None
-    best = math.inf
     by_class: dict[str, float] = {}
     for candidate in sorted(d.id for d in kb.diseases):
-        cls = utilities.disease_class(candidate)
+        cls = utilities.expansion[candidate]
         if cls not in by_class:
-            by_class[cls] = expected_class_disutility(p, utilities, cls)
-        expected = by_class[cls]
-        if expected < best:
-            best, best_id = expected, candidate
-    if best_id is None:
-        raise ValueError(f"no finite expected disutility among the classes: {by_class}")
+            by_class[cls] = reference_class_disutility(p, utilities, cls)
+        if best_id is None or by_class[cls] < best:
+            best, best_id = by_class[cls], candidate
     return best_id
 
 
 def reference_rating_pass(kb: KnowledgeBase, utilities, gold_source: str, inferred, rules):
     """The rating pass as one ``reference_meu_diagnosis`` per MEU decision and
-    one ``expected_disutility`` per rating, the reference for
+    one ``reference_expected_disutility`` per rating, the reference for
     ``evaluation._rating_pass``'s shared pricer, bit for bit and error for
-    error: (gold ratings, each row's ratings, each row's agreement count)."""
+    error: (gold ratings, each row's ratings, each row's agreement count).
+    A model that does not cover the KB raises before any case is rated."""
+    _reference_check_coverage(utilities, kb)
     gold_ratings = []
     ratings = {row: [] for row in rules}
     agreement = dict.fromkeys(rules, 0)
     for case, dists in inferred:
         p_gold = case.gold(gold_source)
         dx_gold = reference_meu_diagnosis(p_gold, utilities, kb)
-        gold_ratings.append(expected_disutility(p_gold, utilities, dx_gold, kb))
+        gold_ratings.append(reference_expected_disutility(p_gold, utilities, dx_gold, kb))
         for row, (source, uses_meu) in rules.items():
             if uses_meu:
                 dx = reference_meu_diagnosis(dists[source], utilities, kb)
             else:
                 dx = max_belief_diagnosis(dists[source])
-            ratings[row].append(expected_disutility(p_gold, utilities, dx, kb))
+            ratings[row].append(reference_expected_disutility(p_gold, utilities, dx, kb))
             agreement[row] += dx == dx_gold
     return gold_ratings, ratings, agreement
 

@@ -125,29 +125,41 @@ class TestValidateCommand:
         assert capsys.readouterr().out.splitlines() == lines
 
 
-# The fixture KB with two diseases moved to other classes: 'va' to a class the
-# utility model maps it elsewhere, 'fl' to one the utility model lacks.
-COVERAGE_VIOLATIONS = [
-    "disease 'va': knowledge base class 'hodgkin' differs from utility expansion 'benign'",
-    "disease 'fl': knowledge base class 'lymphoma' differs from utility expansion 'nhl'",
-    "disease 'fl': equivalence class 'lymphoma' missing from the utility model",
-]
+# Each input's coverage violations.  "kb": the fixture KB with two diseases
+# moved to other classes, 'va' to a class the utility model maps it elsewhere,
+# 'fl' to one the utility model lacks.  "utilities": the fixture utility model
+# with 'csd' dropped from its expansion, the check that keeps every command
+# from pricing with a model that does not cover the KB.
+COVERAGE_VIOLATIONS = {
+    "kb": [
+        "disease 'va': knowledge base class 'hodgkin' differs from utility expansion 'benign'",
+        "disease 'fl': knowledge base class 'lymphoma' differs from utility expansion 'nhl'",
+        "disease 'fl': equivalence class 'lymphoma' missing from the utility model",
+    ],
+    "utilities": ["disease 'csd': not mapped in the utility model"],
+}
 
 
+@pytest.mark.parametrize("broken", list(COVERAGE_VIOLATIONS))
 @pytest.mark.parametrize("command", ["validate", "evaluate"])
-def test_utility_coverage_violations_exit_2(command, tmp_path, capsys):
-    doc = json.loads(Path(KB).read_text())
-    classes = {"va": "hodgkin", "fl": "lymphoma"}
-    for disease in doc["diseases"]:
-        disease["class"] = classes.get(disease["id"], disease["class"])
-    bad = tmp_path / "kb.json"
-    bad.write_text(json.dumps(doc))
-    assert main([command, "--kb", str(bad), "--cases", CASES, "--utilities", UTILITIES]) == 2
-    out, err = capsys.readouterr()
-    if command == "validate":
-        assert out.splitlines() == ["kb: OK", "cases: OK", *(f"utilities: {v}" for v in COVERAGE_VIOLATIONS)]
+def test_utility_coverage_violations_exit_2(command, broken, tmp_path, capsys):
+    paths = {"kb": KB, "utilities": UTILITIES}
+    doc = json.loads(Path(paths[broken]).read_text())
+    if broken == "kb":
+        classes = {"va": "hodgkin", "fl": "lymphoma"}
+        for disease in doc["diseases"]:
+            disease["class"] = classes.get(disease["id"], disease["class"])
     else:
-        assert (out, err) == ("", f"ValidationError: {'; '.join(COVERAGE_VIOLATIONS)}\n")
+        del doc["expansion"]["csd"]
+    paths[broken] = str(tmp_path / f"{broken}.json")
+    Path(paths[broken]).write_text(json.dumps(doc))
+    assert main([command, "--kb", paths["kb"], "--cases", CASES, "--utilities", paths["utilities"]]) == 2
+    out, err = capsys.readouterr()
+    violations = COVERAGE_VIOLATIONS[broken]
+    if command == "validate":
+        assert out.splitlines() == ["kb: OK", "cases: OK", *(f"utilities: {v}" for v in violations)]
+    else:
+        assert (out, err) == ("", f"ValidationError: {'; '.join(violations)}\n")
 
 
 def _set_first_prior(value):

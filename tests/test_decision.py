@@ -12,13 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from support import fault_ids, reference_meu_diagnosis, with_fault
-from uncertain_dx import decision
+from support import fault_ids, reference_class_disutility, reference_meu_diagnosis, with_fault
 from uncertain_dx.decision import (
     MicromortQuote,
     UtilityMatrix,
     expand_utilities,
-    expected_class_disutility,
     load_utilities,
     max_belief_diagnosis,
     meu_diagnosis,
@@ -30,9 +28,11 @@ from uncertain_dx.errors import (
     FileFormatError,
     LinearityRangeExceeded,
     NonpositiveValueOfLife,
+    UnknownDisease,
     UnmappedDisease,
     ValidationError,
 )
+from uncertain_dx.evaluation import expected_disutility
 from uncertain_dx.kb import BeliefDistribution, ConditionalTable, Disease, Feature, KnowledgeBase
 
 
@@ -154,14 +154,67 @@ class TestMeuDiagnosis:
         with pytest.raises(UnmappedDisease):
             meu_diagnosis(dist(benign=0.5, lethal=0.5), u, BL_KB)
 
-    def test_no_finite_expected_disutility_named(self):
-        """A table changed to NaN after construction leaves no class to
-        pick; the error says so instead of blaming the knowledge base."""
-        u = matrix(BENIGN_LETHAL.classes, BENIGN_LETHAL.class_disutility, BENIGN_LETHAL.expansion)
-        for key in u.class_disutility:
-            u.class_disutility[key] = math.nan
-        with pytest.raises(ValueError, match="no finite expected disutility.*'b': nan"):
-            meu_diagnosis(dist(benign=0.6, lethal=0.4), u, BL_KB)
+    def test_tables_are_read_only_copies(self):
+        """The model keeps the tables it validated: its own maps refuse
+        assignment, and NaN written into the caller's dicts afterwards
+        changes no pick and no price."""
+        table = dict(BENIGN_LETHAL.class_disutility)
+        expansion = dict(BENIGN_LETHAL.expansion)
+        u = UtilityMatrix(classes=BENIGN_LETHAL.classes, class_disutility=table, expansion=expansion)
+        with pytest.raises(TypeError):
+            u.class_disutility[("b", "b")] = math.nan
+        with pytest.raises(TypeError):
+            u.expansion["benign"] = "l"
+        for key in table:
+            table[key] = math.nan
+        expansion["benign"] = "l"
+        del expansion["lethal"]
+        p = dist(benign=0.6, lethal=0.4)
+        assert meu_diagnosis(p, u, BL_KB) == "lethal"
+        assert expected_disutility(p, u, "benign", BL_KB) == 0.4 * 800000.0
+        assert expected_disutility(p, u, "lethal", BL_KB) == 0.6 * 1000.0
+
+    def test_uncovered_model_names_the_smallest_unmapped_id(self):
+        """The error names the smallest unmapped id, not the first unmapped
+        disease that p names."""
+        u = matrix(("b",), {("b", "b"): 0}, {"a": "b"})
+        kb = flat_kb({"a": "b", "b": "b", "c": "b"})
+        with pytest.raises(UnmappedDisease) as raised:
+            meu_diagnosis(dist(c=0.5, b=0.5), u, kb)
+        assert str(raised.value) == "disease 'b' has no equivalence class"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_uncovered_model_raises_whatever_the_distribution(self, seed):
+        """A model that leaves KB diseases unmapped raises ``UnmappedDisease``
+        naming the smallest unmapped id for every p: whatever its order, the
+        diseases it names, or a belief outside the KB."""
+        rng = random.Random(seed)
+        ids = rng.sample([f"d{i}" for i in range(12)], rng.randint(2, 8))
+        expansion = {d: rng.choice(BENIGN_LETHAL.classes) for d in ids}
+        unmapped = rng.sample(ids, rng.randint(1, len(ids)))
+        mapped = {d: c for d, c in expansion.items() if d not in unmapped}
+        u = matrix(BENIGN_LETHAL.classes, BENIGN_LETHAL.class_disutility, mapped)
+        named = rng.sample(ids + ["zz"], rng.randint(1, len(ids) + 1))
+        weights = [rng.random() + 1e-3 for _ in named]
+        p = dist(**{d: w / sum(weights) for d, w in zip(named, weights)})
+        with pytest.raises(UnmappedDisease) as raised:
+            meu_diagnosis(p, u, flat_kb(expansion))
+        assert str(raised.value) == f"disease '{min(unmapped)}' has no equivalence class"
+
+    def test_belief_outside_the_knowledge_base_raises(self):
+        """A distribution naming a disease the KB lacks is rejected even when
+        the model maps that disease, by the decision rule and by the rating."""
+        u = matrix(BENIGN_LETHAL.classes, BENIGN_LETHAL.class_disutility,
+                   {**BENIGN_LETHAL.expansion, "other": "b", "zz": "l"})
+        p = dist(benign=0.5, zz=0.25, other=0.25)
+        with pytest.raises(UnknownDisease) as raised:
+            meu_diagnosis(p, u, BL_KB)
+        assert str(raised.value) == "unknown disease 'other'"
+        for diagnosis in ("benign", "lethal"):
+            with pytest.raises(UnknownDisease) as raised:
+                expected_disutility(p, u, diagnosis, BL_KB)
+            assert str(raised.value) == "unknown disease 'other'"
 
     def test_empty_knowledge_base_named(self):
         """No knowledge base without diseases reaches the decision rule."""
@@ -189,34 +242,28 @@ class TestMeuDiagnosis:
         p = dist(**{d: w / total for d, w in zip(diseases, weights)})
         assert meu_diagnosis(p, u, kb) == meu_diagnosis(p, u2, kb)
 
-    def test_each_class_priced_once(self, monkeypatch):
+    def test_each_class_priced_once(self):
         """A decision reads each class's column over the diseases once, C*D
-        table entries, and prices an in-KB distribution with positive finite
-        prices from them alone, so it costs O(C*D), not O(D^2)."""
+        table entries, and prices a distribution from them alone, so it
+        costs O(C*D), not O(D^2)."""
         rng = random.Random(5)
         classes = [f"k{i}" for i in range(4)]
         expansion = {f"d{i:02d}": classes[i % 4] for i in range(12)}
-        reads, fallbacks = [], []
+        reads = []
 
         class CountingTable(dict):
             def __getitem__(self, key):
                 reads.append(key)
                 return super().__getitem__(key)
 
-        table = CountingTable({(i, j): rng.uniform(1.0, 1e6) for i in classes for j in classes})
+        table = {(i, j): rng.uniform(1.0, 1e6) for i in classes for j in classes}
         u = UtilityMatrix(classes=tuple(classes), class_disutility=table, expansion=expansion)
+        # The model's read-only copy, swapped for a counting one with the same entries.
+        object.__setattr__(u, "class_disutility", CountingTable(u.class_disutility))
         p = dist(**{d: 1 / 12 for d in expansion})
-
-        def counting(p, utilities, diagnosed_class):
-            fallbacks.append(diagnosed_class)
-            return expected_class_disutility(p, utilities, diagnosed_class)
-
-        monkeypatch.setattr(decision, "expected_class_disutility", counting)
         kb = flat_kb(expansion)
-        reads.clear()
         dx = meu_diagnosis(p, u, kb)
         assert sorted(reads) == sorted((expansion[d], c) for d in expansion for c in classes)
-        assert fallbacks == []
         assert dx == reference_meu_diagnosis(p, u, kb)
 
     @settings(max_examples=100, deadline=None)
@@ -240,7 +287,7 @@ class TestMeuDiagnosis:
 
         best_id, best = None, math.inf
         for candidate in sorted(expansion):
-            expected = expected_class_disutility(p, u, u.disease_class(candidate))
+            expected = reference_class_disutility(p, u, u.disease_class(candidate))
             if expected < best:
                 best, best_id = expected, candidate
         assert meu_diagnosis(p, u, kb) == best_id == min(d for d in ids if expansion[d] in tied)
