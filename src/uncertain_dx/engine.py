@@ -24,13 +24,14 @@ passes over the finding's vector in ``KnowledgeBase.vectors``, into one memo
 on the knowledge base that also keeps the prior terms.  A call compiles each
 row object once, so replicated tokens share their row's terms, and is O(D*O)
 for D diseases and O observations; so is ``_prefixes``, every prefix's result
-from exact integer running sums that round as fsum does.  Results and errors
-are each calculus's own, as from checking every observation and recomputing
-every term.  Combine steps and ``_prefixes`` give (beliefs in disease order,
-pre_norm_sum) rows, which become distributions only in ``_infer``, behind the
-public calculi, and in ``synth.convergence_probe``; normalized by construction,
-they skip a file's distribution checks.  All functions are safe to call
-concurrently on shared knowledge bases.
+from exact integer running sums over 2**e, each rounded as fsum does: scaled by
+2**-e within ``_prefix_sums``' guard, where that is exact, else divided.
+Results and errors are each calculus's own, as from checking every observation
+and recomputing every term.  Combine steps and ``_prefixes`` give (beliefs in
+disease order, pre_norm_sum) rows, which become distributions only in
+``_infer``, behind the public calculi, and in ``synth.convergence_probe``;
+normalized by construction, they skip a file's distribution checks.  All
+functions are safe to call concurrently on shared knowledge bases.
 
 A ``KnowledgeBase`` is valid by construction, so the only errors are
 UnknownObservation, ConflictingObservations, AllHypothesesRuledOut,
@@ -116,15 +117,22 @@ def _column_sums(*terms: Sequence[float]) -> list[float]:
 
 def _prefix_sums(terms: Sequence[Sequence[float]]) -> list[tuple]:
     """``_column_sums(*terms[:k])`` for k = 1..len(terms): a column's finite terms are integers over one
-    denominator, each distinct term converted once, so one int / int per step rounds each running sum as
-    fsum does.  Running counts of infinities keep ``_column_sums``' rule: any -inf, else any +inf."""
+    denominator D = 2**e, each distinct term converted once, and each running sum s rounds as fsum does, as
+    ``ldexp(float(s), -e)``: float(s) rounds once, and the scaling is exact while the result is normal and
+    finite, which e <= 1022 and |s| < 2**1023 (the column's largest integer's and length's bit lengths sum to
+    at most 1023) ensure; else as s / D.  Counts of infinities keep ``_column_sums``' rule: any -inf, else +inf."""
     columns = []
     for column in zip(*terms):
         distinct = list(dict.fromkeys(column))  # 0.0 and -0.0 share a key, and an integer: 0
         infinite = math.inf in distinct or -math.inf in distinct
         finite = [t if -math.inf < t < math.inf else 0.0 for t in distinct] if infinite else distinct
         ints, denominator = _exact_integers(finite)
-        sums = list(map(truediv, accumulate(map(dict(zip(distinct, ints)).__getitem__, column)), repeat(denominator)))
+        running = accumulate(map(dict(zip(distinct, ints)).__getitem__, column))
+        e = denominator.bit_length() - 1
+        if e <= 1022 and max(map(abs, ints)).bit_length() + len(column).bit_length() <= 1023:
+            sums = list(map(math.ldexp, map(float, running), repeat(-e)))
+        else:
+            sums = list(map(truediv, running, repeat(denominator)))
         if infinite:
             lows, highs = accumulate(map((-math.inf).__eq__, column)), accumulate(map(math.inf.__eq__, column))
             sums = [-math.inf if low else math.inf if high else s for s, low, high in zip(sums, lows, highs)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Sequence
 
 from .engine import _distribution, _prefixes
@@ -79,7 +80,7 @@ class ReplicatedEvidenceSpec:
     @classmethod
     def uniform(cls, likelihoods: Sequence[float], n: int) -> "ReplicatedEvidenceSpec":
         m = len(likelihoods)
-        return cls(likelihoods=tuple(likelihoods), priors=(1.0 / m,) * m, n=n)
+        return cls(likelihoods=tuple(likelihoods), priors=(1.0 / max(m, 1),) * m, n=n)  # __post_init__ rejects m = 0
 
 
 def replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, list[Observation]]:
@@ -93,15 +94,13 @@ def replicate_evidence_kb(spec: ReplicatedEvidenceSpec) -> tuple[KnowledgeBase, 
         Disease(id=f"h{i + 1}", name=f"H{i + 1}", prior=p, equivalence_class=f"h{i + 1}")
         for i, p in enumerate(spec.priors)
     )
-    features = tuple(
-        Feature(id=f"e{k + 1}", name=f"evidence {k + 1}", values=("present", "absent"))
-        for k in range(spec.n)
-    )
+    ids = [f"e{k}" for k in range(1, spec.n + 1)]
+    names = [f"evidence {k}" for k in range(1, spec.n + 1)]
+    features = tuple(map(Feature, ids, names, repeat(("present", "absent"))))
     by_value = {"present": list(spec.likelihoods), "absent": [1.0 - p for p in spec.likelihoods]}
-    vectors = dict.fromkeys([f.id for f in features], by_value)
+    vectors = dict.fromkeys(ids, by_value)
     kb = KnowledgeBase(diseases, features, ConditionalTable(_LoadedEntries(diseases, features, vectors)))
-    observations = [Observation(feature=f.id, value="present") for f in features]
-    return kb, observations
+    return kb, list(map(Observation, ids, repeat("present")))
 
 
 def brute_force_posterior(
@@ -153,11 +152,11 @@ def convergence_probe(spec: ReplicatedEvidenceSpec) -> list[ProbePoint]:
 
 def probe_tsv(spec: ReplicatedEvidenceSpec) -> str:
     """``convergence_probe(spec)`` as TSV with columns n, method, disease, belief, formatted
-    straight from each step's rows by one template of every (method, disease) line."""
+    straight from each step's rows by one printf template of every (method, disease) line, with
+    the step's n written into each line's "{n}" first (no method name or h1..hm holds "%" or "{n}")."""
     kb, trajectories = _trajectories(spec)
-    heads = [f"\t{method}\t{disease}\t" for method in CALCULI for disease in kb.disease_index]  # no brace in h1..hm
-    step_lines = "".join(f"{{0}}{head}{{{i}:.6f}}\n" for i, head in enumerate(heads, 1)).format
+    template = "".join(f"{{n}}\t{method}\t{disease}\t%.6f\n" for method in CALCULI for disease in kb.disease_index)
     text = ["n\tmethod\tdisease\tbelief\n"]
-    for n, step in enumerate(zip(*trajectories), 1):
-        text.append(step_lines(n, *[belief for beliefs, _ in step for belief in beliefs]))
+    for n, step in enumerate(zip(*trajectories), 1):  # a tuple of a list: ones grown from a generator pile up unreused
+        text.append(template.replace("{n}", str(n)) % tuple([belief for beliefs, _ in step for belief in beliefs]))
     return "".join(text)

@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from hypothesis import strategies as st
 
+from uncertain_dx import engine
 from uncertain_dx.decision import max_belief_diagnosis
 from uncertain_dx.engine import _PRIOR_ONE_TOL, naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import (
@@ -253,6 +255,31 @@ def kb_with_observations(draw, max_observations=4, **kb_kwargs):
 def never_called(*args, **kwargs):
     """A stand-in for a step that must not run, such as a draw or a build past a cap."""
     raise AssertionError("called")
+
+
+def count_rounding_paths(monkeypatch) -> Counter:
+    """Patch ``engine._prefix_sums``' steps to count as they run: "columns" counts its columns
+    (one ``_exact_integers`` call each), "scaled" the running sums ``math.ldexp`` rounds and
+    "divided" those an int / int ``truediv`` rounds.  Other float quotients go uncounted."""
+    counts = Counter()
+    exact_integers, ldexp = engine._exact_integers, math.ldexp
+
+    def counted_exact_integers(values):
+        counts["columns"] += 1
+        return exact_integers(values)
+
+    def counted_ldexp(x, i):
+        counts["scaled"] += 1
+        return ldexp(x, i)
+
+    def counted_truediv(a, b):
+        counts["divided"] += type(a) is int and type(b) is int
+        return a / b
+
+    monkeypatch.setattr(engine, "_exact_integers", counted_exact_integers)
+    monkeypatch.setattr(math, "ldexp", counted_ldexp)
+    monkeypatch.setattr(engine, "truediv", counted_truediv)
+    return counts
 
 
 def reference_permutation_test(

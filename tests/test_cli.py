@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import never_called, reference_permutation_test
+from support import count_rounding_paths, never_called, reference_permutation_test
 
 from uncertain_dx import cli, engine, evaluation, synth
 from uncertain_dx.cli import _one_line, _plain_args, build_parser, main
@@ -528,6 +529,35 @@ class TestProbeCommand:
         assert (built["distribution"], built["point"]) == (0, 0)
         synth.convergence_probe(synth.ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.5, 0.3, 0.2), n=100))
         assert (built["distribution"], built["point"]) == (300, 100)
+
+    @pytest.mark.parametrize(
+        "argv, sha256, scaled, divided",
+        [
+            (["--likelihoods", "0.8,0.6,0.5,0.3,0.2", "--n-max", "100"], None, 15, 0),
+            (
+                ["--likelihoods", "1,0.5,0,1e-300", "--priors", "0.1,0.2,0.3,0.4", "--n-max", "3000"],
+                "04282d562bfda856bd0d4cfaa54165a9be2934484c52bdb9b9302e6074f78b46",
+                11,
+                1,
+            ),
+        ],
+        ids=["golden", "edge"],
+    )
+    def test_running_sums_round_by_scaling_within_the_guard(
+        self, monkeypatch, capsys, data_dir, argv, sha256, scaled, divided
+    ):
+        """Every column of the golden probe rounds its running sums by scaling.  In the edge
+        probe, naive Dempster-Shafer's log(1 - m) for the 1e-300 hypothesis needs a denominator
+        of 2**1048, so that one column of 12 divides; both print their recorded bytes."""
+        counts = count_rounding_paths(monkeypatch)
+        assert main(["probe", *argv]) == 0
+        out = capsys.readouterr().out.encode()
+        if sha256 is None:
+            assert out == (data_dir / "golden_probe.tsv").read_bytes()
+        else:
+            assert hashlib.sha256(out).hexdigest() == sha256
+        steps = int(argv[-1]) + 1  # the prior, then each token
+        assert counts == Counter(columns=scaled + divided, scaled=scaled * steps, divided=divided * steps)
 
     def test_out_of_memory_exits_2_with_one_stderr_line(self, monkeypatch, capsys):
         """``str(MemoryError())`` is empty, so the line carries a fixed message."""

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
+    count_rounding_paths,
     exact_naive_ds,
     exact_odds_likelihood,
     exact_simple_bayes,
@@ -973,6 +974,16 @@ _REPLICATED_ROWS = st.integers(1, 5).flatmap(
 )
 
 
+# Columns at each edge of ``_prefix_sums``' scaling guard, and the path each takes: 2**-1022 is the
+# denominator 2**1022, 2**-1023 is 2**1023, and 1.5 * 2**1020 is an integer of 1,021 bits.
+_GUARD_COLUMNS = [
+    ([2.0**-1022, 2.0**-960, 2.0**-1022, -(2.0**-960)], "scaled"),
+    ([2.0**-1023, 2.0**-960, 2.0**-1023, -(2.0**-960)], "divided"),
+    ([1.5 * 2.0**1020, -(2.0**1020), 2.0**1020], "scaled"),
+    ([1.5 * 2.0**1020, -(2.0**1020), 2.0**1020, 2.0**1020], "divided"),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 5).flatmap(lambda d: st.lists(st.lists(_TERMS, min_size=d, max_size=d), min_size=1, max_size=40))
@@ -980,12 +991,26 @@ _REPLICATED_ROWS = st.integers(1, 5).flatmap(
 )
 @example([[0.5, 0.0]] + [[-0.0, -math.inf]] * 40)
 @example([[-0.0, 1e-300, -math.inf]] * 40)
+@example([[t, 0.5] for t in _GUARD_COLUMNS[0][0]])  # e = 1022
+@example([[t, 0.5] for t in _GUARD_COLUMNS[1][0]])  # e = 1023
+@example([[0.5, t] for t in _GUARD_COLUMNS[2][0]])  # sum bound 2**1023
 def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
     """The running integer sums give ``_column_sums``' bits on every prefix,
     including its rule for columns holding an infinity or both, and on runs
     of one repeated row object, whose terms are converted once."""
     want = [[x.hex() for x in engine._column_sums(*rows[:k])] for k in range(1, len(rows) + 1)]
     assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
+
+
+@pytest.mark.parametrize("column, path", _GUARD_COLUMNS)
+def test_prefix_sums_scale_only_within_the_guard(monkeypatch, column, path):
+    """A column scales its running sums by 2**-e while e <= 1022 and its largest integer's
+    and its length's bit lengths sum to at most 1023; past either edge it divides."""
+    counts = count_rounding_paths(monkeypatch)
+    rows = [[t] for t in column]
+    want = [[x.hex() for x in engine._column_sums(*rows[:k])] for k in range(1, len(rows) + 1)]
+    assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
+    assert counts == Counter(columns=1, **{path: len(column)})
 
 
 def test_prefixes_match_each_prefix_on_random_knowledge_bases():

@@ -17,7 +17,7 @@ from support import (
 )
 from uncertain_dx.engine import naive_dempster_shafer, odds_likelihood, simple_bayes
 from uncertain_dx.errors import AllHypothesesRuledOut, ZeroMarginal
-from uncertain_dx.kb import CALCULI, load_cases, load_kb, serialize_kb, validate_kb
+from uncertain_dx.kb import CALCULI, Feature, Observation, load_cases, load_kb, serialize_kb, validate_kb
 from uncertain_dx.synth import (
     MAX_COPIES,
     ReplicatedEvidenceSpec,
@@ -35,6 +35,11 @@ class TestReplicatedEvidenceSpec:
         spec = ReplicatedEvidenceSpec.uniform((0.8, 0.6, 0.2), n=5)
         assert spec.priors == (1 / 3, 1 / 3, 1 / 3)
         assert spec.n == 5
+
+    def test_uniform_without_hypotheses_raises_the_spec_error(self):
+        """No likelihoods give no uniform prior to divide out, so the spec's own check speaks."""
+        with pytest.raises(ValueError, match="^at least one hypothesis required$"):
+            ReplicatedEvidenceSpec.uniform((), n=1)
 
     def test_the_cap_itself_is_a_valid_spec(self):
         """A spec is only its numbers; building one at the cap builds no knowledge base."""
@@ -137,6 +142,9 @@ class TestSharedTable:
         assert len(entries) == 2 * len(spec.likelihoods) * spec.n
         assert kb == reference
         assert observations == reference_observations
+        # An Observation equals its plain tuple, so == alone cannot tell the constructor.
+        assert all(type(f) is Feature for f in kb.features)
+        assert all(type(o) is Observation for o in observations)
 
     @pytest.mark.parametrize("spec", SHARED_TABLE_SPECS)
     def test_oracle_and_round_trip_match_the_dict_table(self, spec):
