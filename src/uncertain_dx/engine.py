@@ -25,7 +25,7 @@ on the knowledge base that also keeps the prior terms.  A call compiles each
 row object once, so replicated tokens share their row's terms, and is O(D*O)
 for D diseases and O observations; so is ``_prefixes``, every prefix's result
 from exact integer running sums over 2**e, each rounded as fsum does: scaled by
-2**-e within ``_prefix_sums``' guard, where that is exact, else divided.
+2**-e, which is exact, or divided where a running integer overflows a float.
 Results and errors are each calculus's own, as from checking every observation
 and recomputing every term.  Combine steps and ``_prefixes`` give (beliefs in
 disease order, pre_norm_sum) rows, which become distributions only in
@@ -118,21 +118,22 @@ def _column_sums(*terms: Sequence[float]) -> list[float]:
 def _prefix_sums(terms: Sequence[Sequence[float]]) -> list[tuple]:
     """``_column_sums(*terms[:k])`` for k = 1..len(terms): a column's finite terms are integers over one
     denominator D = 2**e, each distinct term converted once, and each running sum s rounds as fsum does, as
-    ``ldexp(float(s), -e)``: float(s) rounds once, and the scaling is exact while the result is normal and
-    finite, which e <= 1022 and |s| < 2**1023 (the column's largest integer's and length's bit lengths sum to
-    at most 1023) ensure; else as s / D.  Counts of infinities keep ``_column_sums``' rule: any -inf, else +inf."""
+    ``ldexp(float(s), -e)``.  That is exact wherever float(s) is finite: D divides 2**1074, so a subnormal
+    result has |s| < 2**52 and an exact float(s), and a normal one is float(s)'s one rounding scaled by 2**-e.
+    A column with an s past the float range divides instead, s / D.  Counts of infinities keep
+    ``_column_sums``' rule: any -inf, else +inf."""
     columns = []
     for column in zip(*terms):
         distinct = list(dict.fromkeys(column))  # 0.0 and -0.0 share a key, and an integer: 0
         infinite = math.inf in distinct or -math.inf in distinct
         finite = [t if -math.inf < t < math.inf else 0.0 for t in distinct] if infinite else distinct
         ints, denominator = _exact_integers(finite)
-        running = accumulate(map(dict(zip(distinct, ints)).__getitem__, column))
+        integer = dict(zip(distinct, ints)).__getitem__
         e = denominator.bit_length() - 1
-        if e <= 1022 and max(map(abs, ints)).bit_length() + len(column).bit_length() <= 1023:
-            sums = list(map(math.ldexp, map(float, running), repeat(-e)))
-        else:
-            sums = list(map(truediv, running, repeat(denominator)))
+        try:
+            sums = list(map(math.ldexp, map(float, accumulate(map(integer, column))), repeat(-e)))
+        except OverflowError:  # a running integer past the float range
+            sums = list(map(truediv, accumulate(map(integer, column)), repeat(denominator)))
         if infinite:
             lows, highs = accumulate(map((-math.inf).__eq__, column)), accumulate(map(math.inf.__eq__, column))
             sums = [-math.inf if low else math.inf if high else s for s, low, high in zip(sums, lows, highs)]
@@ -172,9 +173,7 @@ def _odds_likelihood_combine(log_odds: Sequence[float]) -> tuple[list[float], fl
 def _naive_dempster_shafer_combine(log_rest: Sequence[float]) -> tuple[list[float], float]:
     # from_unnormalized of 1 - prod(1 - m) per disease, from the log complements; -expm1(-inf) is 1.
     raw = list(map(neg, map(math.expm1, log_rest)))
-    total = math.fsum(raw)
-    if total <= 0.0:
-        raise AllHypothesesRuledOut("all hypotheses have zero belief")
+    total = math.fsum(raw)  # > 0: a finding's z > 0 gives some m = w / z > 0, so a column of terms <= 0 sums below 0
     return [v / total + 0.0 for v in raw], total  # -0.0 + 0.0 is 0.0
 
 

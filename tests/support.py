@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -257,29 +256,31 @@ def never_called(*args, **kwargs):
     raise AssertionError("called")
 
 
-def count_rounding_paths(monkeypatch) -> Counter:
-    """Patch ``engine._prefix_sums``' steps to count as they run: "columns" counts its columns
-    (one ``_exact_integers`` call each), "scaled" the running sums ``math.ldexp`` rounds and
-    "divided" those an int / int ``truediv`` rounds.  Other float quotients go uncounted."""
-    counts = Counter()
+def rounding_paths(monkeypatch) -> list:
+    """Patch ``engine._prefix_sums``' steps to record, per column (one ``_exact_integers`` call each), the
+    path its result takes: "scaled" if ``math.ldexp`` rounded its last running sum, "divided" if an int / int
+    ``truediv`` did.  A column whose running integer overflows a float scales its early steps before it
+    divides, so the last call decides.  Other float quotients go unrecorded."""
+    paths = []
     exact_integers, ldexp = engine._exact_integers, math.ldexp
 
-    def counted_exact_integers(values):
-        counts["columns"] += 1
+    def recorded_exact_integers(values):
+        paths.append(None)
         return exact_integers(values)
 
-    def counted_ldexp(x, i):
-        counts["scaled"] += 1
+    def recorded_ldexp(x, i):
+        paths[-1] = "scaled"
         return ldexp(x, i)
 
-    def counted_truediv(a, b):
-        counts["divided"] += type(a) is int and type(b) is int
+    def recorded_truediv(a, b):
+        if type(a) is int and type(b) is int:
+            paths[-1] = "divided"
         return a / b
 
-    monkeypatch.setattr(engine, "_exact_integers", counted_exact_integers)
-    monkeypatch.setattr(math, "ldexp", counted_ldexp)
-    monkeypatch.setattr(engine, "truediv", counted_truediv)
-    return counts
+    monkeypatch.setattr(engine, "_exact_integers", recorded_exact_integers)
+    monkeypatch.setattr(math, "ldexp", recorded_ldexp)
+    monkeypatch.setattr(engine, "truediv", recorded_truediv)
+    return paths
 
 
 def reference_permutation_test(

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
-    count_rounding_paths,
     exact_naive_ds,
     exact_odds_likelihood,
     exact_simple_bayes,
@@ -33,6 +32,7 @@ from support import (
     reference_negation_conditional,
     reference_odds_likelihood,
     reference_simple_bayes,
+    rounding_paths,
 )
 from uncertain_dx import engine
 from uncertain_dx.engine import (
@@ -974,13 +974,15 @@ _REPLICATED_ROWS = st.integers(1, 5).flatmap(
 )
 
 
-# Columns at each edge of ``_prefix_sums``' scaling guard, and the path each takes: 2**-1022 is the
-# denominator 2**1022, 2**-1023 is 2**1023, and 1.5 * 2**1020 is an integer of 1,021 bits.
-_GUARD_COLUMNS = [
+# Columns and the path each takes: 2**-1022 is the denominator 2**1022, 2**-1023 is 2**1023, and
+# 1.5 * 2**1020 is an integer of 1,021 bits, whose running sums near 2**1023 and 2**1024 still scale.  In
+# the last, over 2**1074, -745.0 is an integer of 1,084 bits, so its second running sum overflows a float.
+_ROUNDING_COLUMNS = [
     ([2.0**-1022, 2.0**-960, 2.0**-1022, -(2.0**-960)], "scaled"),
-    ([2.0**-1023, 2.0**-960, 2.0**-1023, -(2.0**-960)], "divided"),
+    ([2.0**-1023, 2.0**-960, 2.0**-1023, -(2.0**-960)], "scaled"),
     ([1.5 * 2.0**1020, -(2.0**1020), 2.0**1020], "scaled"),
-    ([1.5 * 2.0**1020, -(2.0**1020), 2.0**1020, 2.0**1020], "divided"),
+    ([1.5 * 2.0**1020, -(2.0**1020), 2.0**1020, 2.0**1020], "scaled"),
+    ([2.0**-1074, -745.0, 3.0, -1e-300], "divided"),
 ]
 
 
@@ -991,9 +993,10 @@ _GUARD_COLUMNS = [
 )
 @example([[0.5, 0.0]] + [[-0.0, -math.inf]] * 40)
 @example([[-0.0, 1e-300, -math.inf]] * 40)
-@example([[t, 0.5] for t in _GUARD_COLUMNS[0][0]])  # e = 1022
-@example([[t, 0.5] for t in _GUARD_COLUMNS[1][0]])  # e = 1023
-@example([[0.5, t] for t in _GUARD_COLUMNS[2][0]])  # sum bound 2**1023
+@example([[t, 0.5] for t in _ROUNDING_COLUMNS[0][0]])  # e = 1022
+@example([[t, 0.5] for t in _ROUNDING_COLUMNS[1][0]])  # e = 1023
+@example([[0.5, t] for t in _ROUNDING_COLUMNS[2][0]])  # sums below 2**1023
+@example([[0.5, t] for t in _ROUNDING_COLUMNS[4][0]])  # a running integer past the float range
 def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
     """The running integer sums give ``_column_sums``' bits on every prefix,
     including its rule for columns holding an infinity or both, and on runs
@@ -1002,15 +1005,15 @@ def test_prefix_sums_equal_column_sums_on_every_prefix(rows):
     assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
 
 
-@pytest.mark.parametrize("column, path", _GUARD_COLUMNS)
-def test_prefix_sums_scale_only_within_the_guard(monkeypatch, column, path):
-    """A column scales its running sums by 2**-e while e <= 1022 and its largest integer's
-    and its length's bit lengths sum to at most 1023; past either edge it divides."""
-    counts = count_rounding_paths(monkeypatch)
+@pytest.mark.parametrize("column, path", _ROUNDING_COLUMNS)
+def test_prefix_sums_divide_only_past_the_float_range(monkeypatch, column, path):
+    """A column scales its running sums by 2**-e whatever e and however large its sums, and divides
+    only when a running integer overflows a float."""
+    paths = rounding_paths(monkeypatch)
     rows = [[t] for t in column]
     want = [[x.hex() for x in engine._column_sums(*rows[:k])] for k in range(1, len(rows) + 1)]
     assert [[x.hex() for x in sums] for sums in engine._prefix_sums(rows)] == want
-    assert counts == Counter(columns=1, **{path: len(column)})
+    assert paths == [path]
 
 
 def test_prefixes_match_each_prefix_on_random_knowledge_bases():
